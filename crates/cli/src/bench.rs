@@ -4,10 +4,9 @@
 //! for every Table VI workload over the shared `tbpoint-workloads`
 //! fixtures (the same roster the Criterion benches in `crates/bench`
 //! draw from) and writes a schema'd artifact (`BENCH_PR9.json`) holding
-//! per-stage wall times, throughputs, interner hit counts, **both
-//! parallel axes** of the [`ExecPlan`] — the SM-sharded intra-launch
-//! speedup (`--jobs`) and the cross-launch pool speedup
-//! (`--pool-workers`) — and **both sampling modes**: the paper's
+//! per-stage wall times, throughputs, interner hit counts, the
+//! cross-launch pool speedup (`--pool-workers`, the [`ExecPlan`]'s one
+//! parallel axis) and **both sampling modes**: the paper's
 //! two-phase pipeline (profile then sample) against the live
 //! single-pass pipeline, each with its wall time and sampled-vs-full
 //! error, plus the previous PR's numbers as the frozen baseline for the
@@ -30,32 +29,13 @@ use tbpoint_sim::{simulate_launch_perf, GpuConfig, NullSampling, SimPerf};
 use tbpoint_workloads::{all_benchmarks, Scale};
 
 /// Artifact schema identifier; bump on breaking shape changes.
+/// (Dropping fields is not breaking: the reader ignores unknown keys,
+/// so artifacts that still carry the removed intra-launch columns
+/// parse.)
 pub const SCHEMA: &str = "tbpoint-bench/v4";
-
-/// The previous PR's schema; still readable, but only to seed the new
-/// artifact's baseline section (see [`baseline_from_v3`]).
-pub const V3_SCHEMA: &str = "tbpoint-bench/v3";
-
-/// The PR-5 schema; readable through [`baseline_from_v2`] for the same
-/// purpose.
-pub const V2_SCHEMA: &str = "tbpoint-bench/v2";
-
-/// The PR-4 schema; readable through [`baseline_from_v1`] for the same
-/// purpose.
-pub const V1_SCHEMA: &str = "tbpoint-bench/v1";
 
 /// Default artifact path (repo root, committed).
 pub const DEFAULT_ARTIFACT: &str = "BENCH_PR9.json";
-
-/// The previous PR's committed artifact, consumed as the default
-/// baseline when the new artifact is first generated.
-pub const V3_ARTIFACT: &str = "BENCH_PR7.json";
-
-/// The PR-5 committed artifact, the next baseline seed fallback.
-pub const V2_ARTIFACT: &str = "BENCH_PR5.json";
-
-/// The PR-4 committed artifact, the baseline seed of last resort.
-pub const V1_ARTIFACT: &str = "BENCH_PR4.json";
 
 /// Fail `--check` when current throughput falls below `committed / 2` —
 /// generous on purpose: CI runners are noisy, and the check exists to
@@ -100,14 +80,6 @@ pub struct WorkloadBench {
     pub intern_misses: u64,
     /// Warp traces emulated with caching bypassed (thread-varying).
     pub intern_uncacheable: u64,
-    /// Worker threads inside each launch simulation for the parallel
-    /// leg (`ExecPlan::sim_jobs`); 1 = the leg was skipped.
-    pub jobs: u64,
-    /// Cycle-level simulation wall time at `jobs` workers (best of
-    /// `reps`); equals `simulate_ms` when `jobs` is 1.
-    pub simulate_par_ms: f64,
-    /// `simulate_ms / simulate_par_ms` — intra-launch parallel speedup.
-    pub par_speedup: f64,
     /// Pool workers scheduling whole launches for the cross-launch leg
     /// (`ExecPlan::pool_workers`); 1 = the leg was skipped.
     pub pool_workers: u64,
@@ -192,8 +164,8 @@ pub struct BenchReport {
     /// Build description of the measured binary.
     pub build: String,
     /// Logical CPUs visible to the measuring process. Context for the
-    /// parallel columns: `par_speedup > 1` is only attainable when this
-    /// exceeds 1 — on a single-CPU host the parallel leg measures pure
+    /// pool column: `pool_speedup > 1` is only attainable when this
+    /// exceeds 1 — on a single-CPU host the pool leg measures pure
     /// coordination overhead.
     pub host_cpus: u64,
     /// Pinned scale of `workloads`.
@@ -224,7 +196,7 @@ pub fn host_cpus() -> u64 {
 /// defaults in `tbpoint-sim`).
 pub fn build_label() -> String {
     "release, thin LTO, codegen-units=1; trace interning + event horizon on; \
-     two-axis ExecPlan parallelism available (--jobs, --pool-workers); \
+     cross-launch pool parallelism available (--pool-workers); \
      live single-pass sampling available (--live)"
         .to_string()
 }
@@ -251,22 +223,18 @@ fn per_sec(count: u64, ms: f64) -> f64 {
 }
 
 /// Measure every Table VI workload at `scale`, `reps` times per stage,
-/// keeping the minimum. Each active [`ExecPlan`] axis adds a leg that
-/// re-times the same simulations — SM-sharded within each launch when
-/// `plan.sim_jobs > 1`, whole launches fanned out over the job pool
-/// when `plan.pool_workers > 1` — and asserts the counted work is
-/// identical, so each speedup is measured *and* its bit-identity
-/// spot-checked in the same breath. Progress lines go to stderr via
-/// `progress`.
+/// keeping the minimum. With `plan.pool_workers > 1` a pool leg
+/// re-times the same simulations with whole launches fanned out over
+/// the job pool and asserts the counted work is identical, so the
+/// speedup is measured *and* its bit-identity spot-checked in the same
+/// breath. Progress lines go to stderr via `progress`.
 pub fn measure(
     scale: Scale,
     reps: u32,
     plan: ExecPlan,
     mut progress: impl FnMut(&str),
 ) -> Vec<WorkloadBench> {
-    let plan = plan.normalized();
-    let jobs = plan.sim_jobs;
-    let pool = plan.pool_workers;
+    let pool = plan.normalized().pool_workers;
     let cfg = GpuConfig::fermi();
     let tb_cfg = TbpointConfig::default();
     let live_cfg = TbpointConfig {
@@ -277,7 +245,6 @@ pub fn measure(
     for bench in all_benchmarks(scale) {
         let mut best_profile = f64::MAX;
         let mut best_sim = f64::MAX;
-        let mut best_par = f64::MAX;
         let mut best_pool = f64::MAX;
         let mut best_two = f64::MAX;
         let mut best_live = f64::MAX;
@@ -312,34 +279,6 @@ pub fn measure(
                 "{}: simulate disagrees with profile",
                 bench.name
             );
-
-            if jobs > 1 {
-                let t2 = Instant::now();
-                let mut wi_par = 0u64;
-                let mut cy_par = 0u64;
-                for spec in &bench.run.launches {
-                    let (r, _) = simulate_launch_perf(
-                        &bench.run.kernel,
-                        spec,
-                        &cfg,
-                        &mut NullSampling,
-                        None,
-                        jobs,
-                    );
-                    wi_par += r.issued_warp_insts;
-                    cy_par += r.cycles;
-                }
-                let par_ms = t2.elapsed().as_secs_f64() * 1e3;
-                // The whole point of the sharded simulator: same bits,
-                // less wall clock. A count drift is a correctness bug.
-                assert_eq!(
-                    (wi_par, cy_par),
-                    (wi, cy),
-                    "{}: parallel simulation (jobs={jobs}) disagrees with serial",
-                    bench.name
-                );
-                best_par = best_par.min(par_ms);
-            }
 
             if pool > 1 {
                 let specs = &bench.run.launches;
@@ -397,9 +336,6 @@ pub fn measure(
             cycles = cy;
             perf = p;
         }
-        if jobs <= 1 {
-            best_par = best_sim;
-        }
         if pool <= 1 {
             best_pool = best_sim;
         }
@@ -410,13 +346,10 @@ pub fn measure(
             eval_ms,
             best_profile,
             best_sim,
-            match (jobs > 1, pool > 1) {
-                (true, true) => {
-                    format!(" serial, {best_par:.1} at jobs={jobs}, {best_pool:.1} at pool={pool}")
-                }
-                (true, false) => format!(" serial, {best_par:.1} at jobs={jobs}"),
-                (false, true) => format!(" serial, {best_pool:.1} at pool={pool}"),
-                (false, false) => String::new(),
+            if pool > 1 {
+                format!(" serial, {best_pool:.1} at pool={pool}")
+            } else {
+                String::new()
             },
             warp_insts
         ));
@@ -442,14 +375,7 @@ pub fn measure(
             intern_hits: perf.intern_hits,
             intern_misses: perf.intern_misses,
             intern_uncacheable: perf.intern_uncacheable,
-            jobs: jobs.max(1) as u64,
-            simulate_par_ms: round2(best_par),
-            par_speedup: if best_par > 0.0 {
-                round2(best_sim / best_par)
-            } else {
-                0.0
-            },
-            pool_workers: pool.max(1) as u64,
+            pool_workers: pool as u64,
             simulate_pool_ms: round2(best_pool),
             pool_speedup: if best_pool > 0.0 {
                 round2(best_sim / best_pool)
@@ -503,305 +429,6 @@ pub fn parse_report(bytes: &[u8]) -> Result<BenchReport, String> {
     Ok(report)
 }
 
-/// The v1 (PR4) workload shape, decoded only to seed a new artifact's
-/// baseline section from the previous PR's committed measurements.
-#[derive(Debug, Clone, Deserialize)]
-struct WorkloadBenchV1 {
-    name: String,
-    kind: String,
-    launches: u64,
-    blocks: u64,
-    profile_ms: f64,
-    simulate_ms: f64,
-    eval_ms: f64,
-    warp_insts: u64,
-    cycles: u64,
-    warp_insts_per_sec: f64,
-    cycles_per_sec: f64,
-    intern_hits: u64,
-    intern_misses: u64,
-    intern_uncacheable: u64,
-}
-
-/// The v1 (PR4) artifact shape.
-#[derive(Debug, Clone, Deserialize)]
-struct BenchReportV1 {
-    schema: String,
-    build: String,
-    scale: String,
-    reps: u32,
-    workloads: Vec<WorkloadBenchV1>,
-    totals: BenchTotals,
-    quick_scale: String,
-    quick: Vec<WorkloadBenchV1>,
-    baseline: Option<BaselineSection>,
-}
-
-/// Convert the previous PR's committed v1 artifact into a baseline
-/// section for the v2 artifact: its *measurements* become the frozen
-/// reference the new build's speedup columns compare against. (The
-/// vendored serde has no `#[serde(default)]`, so the version upgrade is
-/// an explicit conversion, not a lenient parse.)
-pub fn baseline_from_v1(bytes: &[u8]) -> Result<BaselineSection, String> {
-    let v1: BenchReportV1 =
-        serde_json::from_slice(bytes).map_err(|e| format!("v1 artifact does not parse: {e}"))?;
-    if v1.schema != V1_SCHEMA {
-        return Err(format!(
-            "expected a {V1_SCHEMA:?} artifact, got schema {:?}",
-            v1.schema
-        ));
-    }
-    let strip = |ws: &[WorkloadBenchV1]| {
-        ws.iter()
-            .map(|w| BaselineWorkload {
-                name: w.name.clone(),
-                profile_ms: w.profile_ms,
-                simulate_ms: w.simulate_ms,
-                eval_ms: w.eval_ms,
-                warp_insts: w.warp_insts,
-                cycles: w.cycles,
-            })
-            .collect()
-    };
-    // Touch the fields the conversion deliberately drops so the v1
-    // mirror stays an exact decode of the committed artifact.
-    let _ = (
-        &v1.totals,
-        &v1.baseline,
-        &v1.quick_scale,
-        v1.workloads.first().map(|w| {
-            (
-                &w.kind,
-                w.launches,
-                w.blocks,
-                w.warp_insts_per_sec,
-                w.cycles_per_sec,
-                w.intern_hits,
-                w.intern_misses,
-                w.intern_uncacheable,
-            )
-        }),
-    );
-    Ok(BaselineSection {
-        build: format!("{} [{}]", v1.build, V1_ARTIFACT),
-        scale: v1.scale,
-        reps: v1.reps,
-        workloads: strip(&v1.workloads),
-        quick: strip(&v1.quick),
-    })
-}
-
-/// The v2 (PR5) workload shape — v1 plus the intra-launch parallel leg
-/// — decoded only to seed a new artifact's baseline section.
-#[derive(Debug, Clone, Deserialize)]
-struct WorkloadBenchV2 {
-    name: String,
-    kind: String,
-    launches: u64,
-    blocks: u64,
-    profile_ms: f64,
-    simulate_ms: f64,
-    eval_ms: f64,
-    warp_insts: u64,
-    cycles: u64,
-    warp_insts_per_sec: f64,
-    cycles_per_sec: f64,
-    intern_hits: u64,
-    intern_misses: u64,
-    intern_uncacheable: u64,
-    jobs: u64,
-    simulate_par_ms: f64,
-    par_speedup: f64,
-}
-
-/// The v2 (PR5) artifact shape.
-#[derive(Debug, Clone, Deserialize)]
-struct BenchReportV2 {
-    schema: String,
-    build: String,
-    host_cpus: u64,
-    scale: String,
-    reps: u32,
-    workloads: Vec<WorkloadBenchV2>,
-    totals: BenchTotals,
-    quick_scale: String,
-    quick: Vec<WorkloadBenchV2>,
-    baseline: Option<BaselineSection>,
-}
-
-/// Convert the previous PR's committed v2 artifact into a baseline
-/// section for the v3 artifact, exactly as [`baseline_from_v1`] does
-/// for v1: its measurements become the frozen reference. (The vendored
-/// serde has no `#[serde(default)]`, so the version upgrade is an
-/// explicit conversion, not a lenient parse.)
-pub fn baseline_from_v2(bytes: &[u8]) -> Result<BaselineSection, String> {
-    let v2: BenchReportV2 =
-        serde_json::from_slice(bytes).map_err(|e| format!("v2 artifact does not parse: {e}"))?;
-    if v2.schema != V2_SCHEMA {
-        return Err(format!(
-            "expected a {V2_SCHEMA:?} artifact, got schema {:?}",
-            v2.schema
-        ));
-    }
-    let strip = |ws: &[WorkloadBenchV2]| {
-        ws.iter()
-            .map(|w| BaselineWorkload {
-                name: w.name.clone(),
-                profile_ms: w.profile_ms,
-                simulate_ms: w.simulate_ms,
-                eval_ms: w.eval_ms,
-                warp_insts: w.warp_insts,
-                cycles: w.cycles,
-            })
-            .collect()
-    };
-    // Touch the fields the conversion deliberately drops so the v2
-    // mirror stays an exact decode of the committed artifact.
-    let _ = (
-        &v2.totals,
-        &v2.baseline,
-        &v2.quick_scale,
-        v2.host_cpus,
-        v2.workloads.first().map(|w| {
-            (
-                &w.kind,
-                w.launches,
-                w.blocks,
-                w.warp_insts_per_sec,
-                w.cycles_per_sec,
-                w.intern_hits,
-                w.intern_misses,
-                w.intern_uncacheable,
-                w.jobs,
-                w.simulate_par_ms,
-                w.par_speedup,
-            )
-        }),
-    );
-    Ok(BaselineSection {
-        build: format!("{} [{}]", v2.build, V2_ARTIFACT),
-        scale: v2.scale,
-        reps: v2.reps,
-        workloads: strip(&v2.workloads),
-        quick: strip(&v2.quick),
-    })
-}
-
-/// The v3 (PR7) workload shape — v2 plus the cross-launch pool leg —
-/// decoded only to seed a new artifact's baseline section.
-#[derive(Debug, Clone, Deserialize)]
-struct WorkloadBenchV3 {
-    name: String,
-    kind: String,
-    launches: u64,
-    blocks: u64,
-    profile_ms: f64,
-    simulate_ms: f64,
-    eval_ms: f64,
-    warp_insts: u64,
-    cycles: u64,
-    warp_insts_per_sec: f64,
-    cycles_per_sec: f64,
-    intern_hits: u64,
-    intern_misses: u64,
-    intern_uncacheable: u64,
-    jobs: u64,
-    simulate_par_ms: f64,
-    par_speedup: f64,
-    pool_workers: u64,
-    simulate_pool_ms: f64,
-    pool_speedup: f64,
-}
-
-/// The v3 (PR7) artifact shape.
-#[derive(Debug, Clone, Deserialize)]
-struct BenchReportV3 {
-    schema: String,
-    build: String,
-    host_cpus: u64,
-    scale: String,
-    reps: u32,
-    workloads: Vec<WorkloadBenchV3>,
-    totals: BenchTotals,
-    quick_scale: String,
-    quick: Vec<WorkloadBenchV3>,
-    baseline: Option<BaselineSection>,
-}
-
-/// Convert the previous PR's committed v3 artifact into a baseline
-/// section for the v4 artifact, exactly as [`baseline_from_v2`] does
-/// for v2: its measurements become the frozen reference. (The vendored
-/// serde has no `#[serde(default)]`, so the version upgrade is an
-/// explicit conversion, not a lenient parse.)
-pub fn baseline_from_v3(bytes: &[u8]) -> Result<BaselineSection, String> {
-    let v3: BenchReportV3 =
-        serde_json::from_slice(bytes).map_err(|e| format!("v3 artifact does not parse: {e}"))?;
-    if v3.schema != V3_SCHEMA {
-        return Err(format!(
-            "expected a {V3_SCHEMA:?} artifact, got schema {:?}",
-            v3.schema
-        ));
-    }
-    let strip = |ws: &[WorkloadBenchV3]| {
-        ws.iter()
-            .map(|w| BaselineWorkload {
-                name: w.name.clone(),
-                profile_ms: w.profile_ms,
-                simulate_ms: w.simulate_ms,
-                eval_ms: w.eval_ms,
-                warp_insts: w.warp_insts,
-                cycles: w.cycles,
-            })
-            .collect()
-    };
-    // Touch the fields the conversion deliberately drops so the v3
-    // mirror stays an exact decode of the committed artifact.
-    let _ = (
-        &v3.totals,
-        &v3.baseline,
-        &v3.quick_scale,
-        v3.host_cpus,
-        v3.workloads.first().map(|w| {
-            (
-                &w.kind,
-                w.launches,
-                w.blocks,
-                w.warp_insts_per_sec,
-                w.cycles_per_sec,
-                w.intern_hits,
-                w.intern_misses,
-                w.intern_uncacheable,
-                w.jobs,
-                w.simulate_par_ms,
-                w.par_speedup,
-                w.pool_workers,
-                w.simulate_pool_ms,
-                w.pool_speedup,
-            )
-        }),
-    );
-    Ok(BaselineSection {
-        build: format!("{} [{}]", v3.build, V3_ARTIFACT),
-        scale: v3.scale,
-        reps: v3.reps,
-        workloads: strip(&v3.workloads),
-        quick: strip(&v3.quick),
-    })
-}
-
-/// Render the per-workload simulated-work counts (name, warp
-/// instructions, cycles) as stable one-per-line text. CI writes this
-/// for a `--jobs 1` and a `--jobs 2` quick run and `cmp`s the files
-/// byte-for-byte — the cheapest possible cross-process bit-identity
-/// check.
-pub fn render_counts(workloads: &[WorkloadBench]) -> String {
-    let mut out = String::new();
-    for w in workloads {
-        out.push_str(&format!("{} {} {}\n", w.name, w.warp_insts, w.cycles));
-    }
-    out
-}
-
 /// Compare a fresh `--quick` run against the committed artifact's
 /// `quick` section: every workload must retain at least
 /// `1 / REGRESSION_FACTOR` of the committed simulation throughput.
@@ -852,13 +479,9 @@ pub fn check_regressions(current: &[WorkloadBench], committed: &BenchReport) -> 
 /// when the baseline section covers the same scale.
 pub fn render_summary(report: &BenchReport) -> String {
     let baseline = report.baseline.as_ref().filter(|b| b.scale == report.scale);
-    let parallel = report.workloads.iter().any(|w| w.jobs > 1);
     let pooled = report.workloads.iter().any(|w| w.pool_workers > 1);
     let live = report.workloads.iter().any(|w| w.live_ms > 0.0);
     let mut headers = vec!["bench", "kind", "eval ms", "simulate ms", "Mwi/s", "hit%"];
-    if parallel {
-        headers.push("par x");
-    }
     if pooled {
         headers.push("pool x");
     }
@@ -885,13 +508,6 @@ pub fn render_summary(report: &BenchReport) -> String {
             format!("{:.2}", w.warp_insts_per_sec / 1e6),
             format!("{hit_pct:.0}"),
         ];
-        if parallel {
-            row.push(if w.jobs > 1 {
-                format!("{:.2}x@{}", w.par_speedup, w.jobs)
-            } else {
-                "-".to_string()
-            });
-        }
         if pooled {
             row.push(if w.pool_workers > 1 {
                 format!("{:.2}x@{}", w.pool_speedup, w.pool_workers)
@@ -960,9 +576,6 @@ mod tests {
             intern_hits: 3,
             intern_misses: 1,
             intern_uncacheable: 0,
-            jobs: 1,
-            simulate_par_ms: 10.0,
-            par_speedup: 1.0,
             pool_workers: 1,
             simulate_pool_ms: 10.0,
             pool_speedup: 1.0,
@@ -1033,57 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_artifact_converts_into_a_baseline_section() {
-        let v1 = r#"{"schema":"tbpoint-bench/v1","build":"old build","scale":"dev","reps":3,
-            "workloads":[{"name":"stream","kind":"regular","launches":1,"blocks":2,
-                "profile_ms":1.5,"simulate_ms":20.0,"eval_ms":21.5,"warp_insts":1000,
-                "cycles":500,"warp_insts_per_sec":50000.0,"cycles_per_sec":25000.0,
-                "intern_hits":3,"intern_misses":1,"intern_uncacheable":0}],
-            "totals":{"profile_ms":1.5,"simulate_ms":20.0,"eval_ms":21.5,
-                "warp_insts":1000,"cycles":500,"warp_insts_per_sec":50000.0},
-            "quick_scale":"tiny","quick":[],"baseline":null}"#;
-        let b = baseline_from_v1(v1.as_bytes()).unwrap();
-        assert_eq!(b.scale, "dev");
-        assert!(b.build.contains("BENCH_PR4.json"));
-        assert_eq!(b.workloads.len(), 1);
-        assert_eq!(b.workloads[0].simulate_ms, 20.0);
-        assert_eq!(b.workloads[0].warp_insts, 1000);
-        assert!(b.quick.is_empty());
-
-        // A v2 artifact must be rejected as a v1 baseline source.
-        let v2 = v1.replace("tbpoint-bench/v1", "tbpoint-bench/v2");
-        assert!(baseline_from_v1(v2.as_bytes())
-            .unwrap_err()
-            .contains("schema"));
-    }
-
-    #[test]
-    fn v2_artifact_converts_into_a_baseline_section() {
-        let v2 = r#"{"schema":"tbpoint-bench/v2","build":"pr5 build","host_cpus":4,
-            "scale":"dev","reps":3,
-            "workloads":[{"name":"stream","kind":"regular","launches":1,"blocks":2,
-                "profile_ms":1.2,"simulate_ms":15.0,"eval_ms":16.2,"warp_insts":1000,
-                "cycles":500,"warp_insts_per_sec":66000.0,"cycles_per_sec":33000.0,
-                "intern_hits":3,"intern_misses":1,"intern_uncacheable":0,
-                "jobs":2,"simulate_par_ms":9.0,"par_speedup":1.67}],
-            "totals":{"profile_ms":1.2,"simulate_ms":15.0,"eval_ms":16.2,
-                "warp_insts":1000,"cycles":500,"warp_insts_per_sec":66000.0},
-            "quick_scale":"tiny","quick":[],"baseline":null}"#;
-        let b = baseline_from_v2(v2.as_bytes()).unwrap();
-        assert_eq!(b.scale, "dev");
-        assert!(b.build.contains("BENCH_PR5.json"));
-        assert_eq!(b.workloads.len(), 1);
-        assert_eq!(b.workloads[0].simulate_ms, 15.0);
-        assert_eq!(b.workloads[0].warp_insts, 1000);
-
-        // A v3 artifact must be rejected as a v2 baseline source.
-        let v3 = v2.replace("tbpoint-bench/v2", "tbpoint-bench/v3");
-        assert!(baseline_from_v2(v3.as_bytes())
-            .unwrap_err()
-            .contains("schema"));
-    }
-
-    #[test]
     fn regression_check_trips_on_error_bound_breach() {
         let committed = report();
         let mut cur = wl("stream", 100_000.0);
@@ -1098,33 +660,6 @@ mod tests {
         let fails = check_regressions(&[cur], &committed);
         assert_eq!(fails.len(), 1, "{fails:?}");
         assert!(fails[0].contains("two-phase"));
-    }
-
-    #[test]
-    fn v3_artifact_converts_into_a_baseline_section() {
-        let v3 = r#"{"schema":"tbpoint-bench/v3","build":"pr7 build","host_cpus":4,
-            "scale":"dev","reps":3,
-            "workloads":[{"name":"stream","kind":"regular","launches":1,"blocks":2,
-                "profile_ms":1.1,"simulate_ms":12.0,"eval_ms":13.1,"warp_insts":1000,
-                "cycles":500,"warp_insts_per_sec":83000.0,"cycles_per_sec":41000.0,
-                "intern_hits":3,"intern_misses":1,"intern_uncacheable":0,
-                "jobs":2,"simulate_par_ms":7.0,"par_speedup":1.71,
-                "pool_workers":2,"simulate_pool_ms":8.0,"pool_speedup":1.5}],
-            "totals":{"profile_ms":1.1,"simulate_ms":12.0,"eval_ms":13.1,
-                "warp_insts":1000,"cycles":500,"warp_insts_per_sec":83000.0},
-            "quick_scale":"tiny","quick":[],"baseline":null}"#;
-        let b = baseline_from_v3(v3.as_bytes()).unwrap();
-        assert_eq!(b.scale, "dev");
-        assert!(b.build.contains("BENCH_PR7.json"));
-        assert_eq!(b.workloads.len(), 1);
-        assert_eq!(b.workloads[0].simulate_ms, 12.0);
-        assert_eq!(b.workloads[0].warp_insts, 1000);
-
-        // A v4 artifact must be rejected as a v3 baseline source.
-        let v4 = v3.replace("tbpoint-bench/v3", "tbpoint-bench/v4");
-        assert!(baseline_from_v3(v4.as_bytes())
-            .unwrap_err()
-            .contains("schema"));
     }
 
     #[test]
@@ -1149,46 +684,12 @@ mod tests {
     fn measure_pool_leg_matches_serial_counts() {
         // The pooled leg asserts bit-identity internally; run it once
         // on the tiny roster to exercise that assertion.
-        let plan = ExecPlan {
-            sim_jobs: 1,
-            pool_workers: 2,
-        };
-        let rows = measure(Scale::Tiny, 1, plan, |_| {});
+        let rows = measure(Scale::Tiny, 1, ExecPlan::pool(2), |_| {});
         assert!(!rows.is_empty());
         for w in &rows {
             assert_eq!(w.pool_workers, 2);
             assert!(w.simulate_pool_ms >= 0.0);
         }
-    }
-
-    #[test]
-    fn counts_render_one_stable_line_per_workload() {
-        let text = render_counts(&[wl("a", 1.0), wl("b", 1.0)]);
-        assert_eq!(
-            text,
-            "a 1000 500
-b 1000 500
-"
-        );
-    }
-
-    #[test]
-    fn summary_shows_parallel_speedup_column() {
-        let mut r = report();
-        r.workloads[0].jobs = 4;
-        r.workloads[0].simulate_par_ms = 4.0;
-        r.workloads[0].par_speedup = 2.5;
-        let s = render_summary(&r);
-        assert!(
-            s.contains("par x"),
-            "summary:
-{s}"
-        );
-        assert!(
-            s.contains("2.50x@4"),
-            "summary:
-{s}"
-        );
     }
 
     #[test]

@@ -420,10 +420,7 @@ mod tests {
         // test stays fast. Absolute numbers differ from the paper; the
         // orderings must not.
         let cfg = EvalConfig::new(Scale::Tiny);
-        let plan = ExecPlan {
-            sim_jobs: 1,
-            pool_workers: super::super::default_threads(),
-        };
+        let plan = ExecPlan::pool(super::super::default_threads());
         let r = eval(&cfg, plan).expect("default config evaluates cleanly");
         assert_eq!(r.benches.len(), 12);
         for b in &r.benches {

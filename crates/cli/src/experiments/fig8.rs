@@ -84,7 +84,7 @@ pub fn fig8_bench(bench: &tbpoint_workloads::Benchmark, threads: usize) -> Fig8S
 pub struct Fig8Unit<'a> {
     /// The benchmark to profile.
     pub bench: &'a tbpoint_workloads::Benchmark,
-    /// Intra-launch profiling threads (`ExecPlan::sim_jobs`).
+    /// Profiler threads for this benchmark (`profile_run`'s thread count).
     pub threads: usize,
 }
 

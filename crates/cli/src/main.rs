@@ -17,18 +17,14 @@
 //! tbpoint all    [--scale dev]        everything above
 //! ```
 //!
-//! Parallelism is one [`ExecPlan`](tbpoint_pool::ExecPlan) with two
-//! axes, resolved exactly once at startup (precedence: CLI flag >
-//! environment variable > auto; adjustments are reported as structured
-//! `ExecPlanAdjusted` events on stderr):
-//!
-//! * `--jobs N` / `TBPOINT_JOBS` — intra-launch: each launch's SMs are
-//!   sharded across N threads with bit-identical results (DESIGN.md,
-//!   "Deterministic parallel simulation");
-//! * `--pool-workers N` / `TBPOINT_POOL_WORKERS` — cross-launch: whole
-//!   launches and sweep units are scheduled on the deterministic job
-//!   pool, with results merged in canonical order so every artifact is
-//!   byte-identical to a serial run (DESIGN.md, "Two-axis parallelism").
+//! Parallelism is one [`ExecPlan`](tbpoint_pool::ExecPlan) resolved
+//! exactly once at startup (precedence: CLI flag, then environment
+//! variable, then auto; adjustments are reported as structured
+//! `ExecPlanAdjusted` events on stderr): `--pool-workers N` /
+//! `TBPOINT_POOL_WORKERS` schedules whole launches and sweep units on
+//! the deterministic job pool, with results merged in canonical order
+//! so every artifact is byte-identical to a serial run (DESIGN.md,
+//! "Parallelism"). Each launch's cycle loop is serial.
 //!
 //! `--threads` remains the profiler's thread count (the functional
 //! emulation is embarrassingly parallel and outside the plan).
@@ -44,20 +40,17 @@
 //! `bench` times profile + simulate for the whole roster and writes the
 //! committed perf artifact (see EXPERIMENTS.md, "Performance baseline"):
 //! the pinned `--scale dev` measurement plus a `tiny` quick section,
-//! with a parallel leg per workload on each active axis (`--jobs > 1`,
-//! `--pool-workers > 1`), and the host's CPU count for context.
+//! with a pool leg per workload when `--pool-workers > 1`, and the
+//! host's CPU count for context.
 //! Every workload is also timed through both sampling modes (two-phase
 //! and live), with each mode's sampled-vs-full error recorded.
 //! `--quick` runs only the tiny pass (min of 2 reps) and, with
 //! `--check BENCH_PR9.json`, exits non-zero when throughput falls more
 //! than 2x below the committed numbers **or** either sampling mode's
 //! error breaches the 10% clean-baseline bound — CI's `perf-smoke`
-//! job, which also `cmp`s `--counts-out` files from a `--jobs 1` and a
-//! `--jobs 2` run byte-for-byte.
-//! `--baseline <file>` seeds/replaces the frozen reference section;
-//! without it, a regeneration carries the existing artifact's baseline
-//! forward (seeding from `BENCH_PR7.json`, then `BENCH_PR5.json`, then
-//! `BENCH_PR4.json`, if none exists).
+//! job. `--baseline <file>` seeds/replaces the frozen reference
+//! section; without it, a regeneration carries the existing artifact's
+//! baseline forward.
 //!
 //! Artefacts (JSON + CSV) land in `./artifacts/`.
 //!
@@ -106,12 +99,10 @@ struct Args {
     /// (`eval_live_*.json`, ...) so the modes never collide.
     live: bool,
     reps: u32,
-    jobs: Option<usize>,
     pool_workers: Option<usize>,
-    /// The resolved two-axis parallelism plan (CLI > env > auto),
-    /// resolved exactly once in [`parse_args`].
+    /// The parallelism plan (CLI > env > auto), resolved exactly once
+    /// in [`parse_args`].
     plan: ExecPlan,
-    counts_out: Option<PathBuf>,
     out: Option<PathBuf>,
     check: Option<PathBuf>,
     baseline: Option<PathBuf>,
@@ -148,10 +139,8 @@ fn parse_args() -> Args {
         quick: false,
         live: false,
         reps: 3,
-        jobs: None,
         pool_workers: None,
         plan: ExecPlan::serial(),
-        counts_out: None,
         out: None,
         check: None,
         baseline: None,
@@ -206,20 +195,6 @@ fn parse_args() -> Args {
             }
             "--quick" => args.quick = true,
             "--live" => args.live = true,
-            "--counts-out" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--counts-out needs a path");
-                    std::process::exit(2);
-                };
-                args.counts_out = Some(PathBuf::from(v));
-            }
-            "--jobs" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--jobs needs a job count");
-                    std::process::exit(2);
-                };
-                args.jobs = Some(n);
-            }
             "--pool-workers" => {
                 let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
                     eprintln!("--pool-workers needs a worker count");
@@ -295,17 +270,12 @@ fn parse_args() -> Args {
             }
         }
     }
-    // Resolve the two-axis plan exactly once: CLI > environment > auto
-    // (serial intra-launch, host CPUs cross-launch). Adjustments are
-    // structured events, not free-form warnings.
+    // Resolve the plan exactly once: CLI > environment > auto (host
+    // CPUs). Adjustments are structured events, not free-form warnings.
     let (plan, notes) = tbpoint_pool::resolve_from_env(
-        args.jobs,
         args.pool_workers,
         None,
-        ExecPlan {
-            sim_jobs: 1,
-            pool_workers: experiments::default_threads(),
-        },
+        ExecPlan::pool(experiments::default_threads()),
     );
     for note in &notes {
         eprintln!("{}", tbpoint_obs::event_line(&note.event()));
@@ -414,7 +384,7 @@ fn eval_config(args: &Args) -> EvalConfig {
 fn run_eval(args: &Args) -> experiments::EvalResult {
     let cfg = eval_config(args);
     eprintln!(
-        "running {} evaluation at {} scale on {} pool worker(s), {} sim job(s) \
+        "running {} evaluation at {} scale on {} pool worker(s) \
          (this simulates every benchmark in full)...",
         if args.live {
             "live single-pass"
@@ -422,8 +392,7 @@ fn run_eval(args: &Args) -> experiments::EvalResult {
             "two-phase"
         },
         scale_tag(args.scale),
-        args.plan.pool_workers,
-        args.plan.sim_jobs
+        args.plan.pool_workers
     );
     let r = if let Some(trace_path) = &args.trace_out {
         // Tracing runs benchmarks serially and in one piece; it does
@@ -610,8 +579,8 @@ fn cmd_bench(args: &Args) {
         // scheduling hiccup on a shared CI runner read as a 2x
         // throughput regression.
         eprintln!(
-            "quick bench: tiny scale, min of 2 reps, jobs={}, pool-workers={}",
-            plan.sim_jobs, plan.pool_workers
+            "quick bench: tiny scale, min of 2 reps, pool-workers={}",
+            plan.pool_workers
         );
         let current = bench::measure(Scale::Tiny, 2, plan, progress);
         let t = bench::totals(&current);
@@ -620,13 +589,6 @@ fn cmd_bench(args: &Args) {
             t.eval_ms,
             t.warp_insts_per_sec / 1e6
         );
-        if let Some(path) = &args.counts_out {
-            // Stable per-workload work counts; CI `cmp`s the files from
-            // a --jobs 1 and a --jobs 2 run byte-for-byte.
-            std::fs::write(path, bench::render_counts(&current))
-                .unwrap_or_else(|e| die(&format!("writing {}", path.display()), e));
-            eprintln!("wrote {}", path.display());
-        }
         if let Some(path) = &args.check {
             let bytes = std::fs::read(path)
                 .unwrap_or_else(|e| die(&format!("reading artifact {}", path.display()), e));
@@ -654,10 +616,8 @@ fn cmd_bench(args: &Args) {
         .out
         .clone()
         .unwrap_or_else(|| PathBuf::from(bench::DEFAULT_ARTIFACT));
-    // The frozen reference: an explicit --baseline file wins; then the
-    // existing artifact's baseline section carries forward; then the
-    // previous PRs' committed artifacts (BENCH_PR7.json, falling back
-    // to BENCH_PR5.json, then BENCH_PR4.json) seed it.
+    // The frozen reference: an explicit --baseline file wins; otherwise
+    // the existing artifact's baseline section carries forward.
     let baseline = if let Some(bp) = &args.baseline {
         let bytes = std::fs::read(bp)
             .unwrap_or_else(|e| die(&format!("reading baseline {}", bp.display()), e));
@@ -669,53 +629,13 @@ fn cmd_bench(args: &Args) {
             .ok()
             .and_then(|bytes| bench::parse_report(&bytes).ok())
             .and_then(|r| r.baseline)
-            .or_else(|| {
-                let v3 = std::fs::read(bench::V3_ARTIFACT).ok()?;
-                match bench::baseline_from_v3(&v3) {
-                    Ok(section) => {
-                        eprintln!("baseline: seeded from {}", bench::V3_ARTIFACT);
-                        Some(section)
-                    }
-                    Err(e) => {
-                        eprintln!("warning: ignoring {}: {e}", bench::V3_ARTIFACT);
-                        None
-                    }
-                }
-            })
-            .or_else(|| {
-                let v2 = std::fs::read(bench::V2_ARTIFACT).ok()?;
-                match bench::baseline_from_v2(&v2) {
-                    Ok(section) => {
-                        eprintln!("baseline: seeded from {}", bench::V2_ARTIFACT);
-                        Some(section)
-                    }
-                    Err(e) => {
-                        eprintln!("warning: ignoring {}: {e}", bench::V2_ARTIFACT);
-                        None
-                    }
-                }
-            })
-            .or_else(|| {
-                let v1 = std::fs::read(bench::V1_ARTIFACT).ok()?;
-                match bench::baseline_from_v1(&v1) {
-                    Ok(section) => {
-                        eprintln!("baseline: seeded from {}", bench::V1_ARTIFACT);
-                        Some(section)
-                    }
-                    Err(e) => {
-                        eprintln!("warning: ignoring {}: {e}", bench::V1_ARTIFACT);
-                        None
-                    }
-                }
-            })
     };
 
     eprintln!(
-        "bench: {} scale, best of {} reps, jobs={}, pool-workers={} \
+        "bench: {} scale, best of {} reps, pool-workers={} \
          (pinned protocol; see EXPERIMENTS.md)",
         scale_tag(args.scale),
         args.reps,
-        plan.sim_jobs,
         plan.pool_workers
     );
     let workloads = bench::measure(args.scale, args.reps, plan, progress);
@@ -984,8 +904,8 @@ fn main() {
             eprintln!(
                 "usage: tbpoint <table1|table6|fig5|fig8|eval|fig9|fig10|fig11|fig12|fig13|ablate|inspect <bench>|profile <bench>|faultmatrix [bench]|bench|serve|all> \
                  [--scale full|dev|tiny] [--samples N] [--threads N] [--artifacts DIR] [--trace-out FILE] \
-                 [--resume] [--max-units K] [--cycle-budget N] [--jobs N] [--pool-workers N] \
-                 [--live] [--quick] [--reps N] [--out FILE] [--check FILE] [--baseline FILE] [--counts-out FILE] \
+                 [--resume] [--max-units K] [--cycle-budget N] [--pool-workers N] \
+                 [--live] [--quick] [--reps N] [--out FILE] [--check FILE] [--baseline FILE] \
                  [--requests FILE] [--cache-dir DIR] [--max-pending N] [--retries N]"
             );
             std::process::exit(2);

@@ -38,10 +38,7 @@ use tbpoint_obs::{
     CollectingRecorder, DegradeReason, EventKind, NullRecorder, Recorder, Span, TraceBundle,
 };
 use tbpoint_pool::{run_indexed, ExecPlan};
-use tbpoint_sim::{
-    simulate_launch_obs_with_options, CycleBudgetHook, GpuConfig, NullSampling, SamplingHook,
-    SimOptions,
-};
+use tbpoint_sim::{simulate_launch_obs, CycleBudgetHook, GpuConfig, NullSampling, SamplingHook};
 
 /// Which pipeline produces the prediction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -85,8 +82,9 @@ pub struct TbpointConfig {
     /// as [`TbError::BudgetExceeded`] (`None` = no watchdog).
     pub cycle_budget: Option<u64>,
     /// Which pipeline to run ([`SamplingMode::TwoPhase`] by default).
-    /// The [`run_tbpoint`] family ignores this field — callers branch on
-    /// it to pick between [`run_tbpoint`] and [`run_tbpoint_live`].
+    /// Callers branch on it to pick between the [`run_tbpoint`] and
+    /// [`run_tbpoint_live`] families; each family rejects a config set
+    /// to the other mode with [`TbError::InvalidConfig`] naming `mode`.
     pub mode: SamplingMode,
     /// Live mode: consecutive same-cluster epochs required before
     /// warming starts. Must be at least 1.
@@ -351,34 +349,57 @@ fn validate_launch_profile(spec: &LaunchSpec, lp: &LaunchProfile) -> Result<(), 
     Ok(())
 }
 
+/// Validate the inputs every pipeline entry point shares: `cfg` itself,
+/// its `mode` against the family being called, and the [`ExecPlan`]
+/// (whose `sim_jobs` compatibility field must be 1). Returns the
+/// normalized plan.
+fn validate_call(
+    cfg: &TbpointConfig,
+    family: SamplingMode,
+    plan: ExecPlan,
+) -> Result<ExecPlan, TbError> {
+    cfg.validate()?;
+    if cfg.mode != family {
+        let entry = match family {
+            SamplingMode::TwoPhase => "run_tbpoint",
+            SamplingMode::Live => "run_tbpoint_live",
+        };
+        return Err(invalid(
+            "mode",
+            format!(
+                "is {:?}, but the {entry} family runs only {family:?} configs",
+                cfg.mode
+            ),
+        ));
+    }
+    let plan = plan.normalized();
+    if plan.sim_jobs != 1 {
+        return Err(invalid(
+            "sim_jobs",
+            format!(
+                "must be 1 (got {}): each launch's cycle loop is serial; \
+                 parallelism comes from pool_workers",
+                plan.sim_jobs
+            ),
+        ));
+    }
+    Ok(plan)
+}
+
 /// Run one launch simulation under the optional cycle-budget watchdog.
-#[allow(clippy::too_many_arguments)]
 fn simulate_guarded<R: Recorder>(
     run: &KernelRun,
     spec: &LaunchSpec,
     gpu: &GpuConfig,
     hook: &mut dyn SamplingHook,
     cycle_budget: Option<u64>,
-    jobs: usize,
     rep: usize,
     rec: &R,
 ) -> Result<tbpoint_sim::LaunchSimResult, TbError> {
-    let opts = SimOptions {
-        jobs,
-        ..SimOptions::default()
-    };
     match cycle_budget {
         Some(budget) => {
             let mut guard = CycleBudgetHook::new(hook, budget);
-            let r = simulate_launch_obs_with_options(
-                &run.kernel,
-                spec,
-                gpu,
-                &mut guard,
-                None,
-                opts,
-                rec,
-            );
+            let r = simulate_launch_obs(&run.kernel, spec, gpu, &mut guard, None, rec);
             if guard.exceeded() {
                 Err(TbError::BudgetExceeded {
                     launch: rep,
@@ -388,15 +409,7 @@ fn simulate_guarded<R: Recorder>(
                 Ok(r)
             }
         }
-        None => Ok(simulate_launch_obs_with_options(
-            &run.kernel,
-            spec,
-            gpu,
-            hook,
-            None,
-            opts,
-            rec,
-        )),
+        None => Ok(simulate_launch_obs(&run.kernel, spec, gpu, hook, None, rec)),
     }
 }
 
@@ -412,18 +425,12 @@ fn simulate_guarded<R: Recorder>(
 /// launch that overruns `cfg.cycle_budget` is the one unrecoverable
 /// case: its numbers are garbage, so it surfaces as
 /// [`TbError::BudgetExceeded`].
-///
-/// `jobs` is the intra-launch SM-shard worker count
-/// ([`ExecPlan::sim_jobs`]); the simulator clamps it structurally to
-/// the SM count.
-#[allow(clippy::too_many_arguments)]
 fn simulate_rep<R: Recorder>(
     run: &KernelRun,
     profile: &RunProfile,
     cfg: &TbpointConfig,
     gpu: &GpuConfig,
     occupancy: u32,
-    jobs: usize,
     rep: usize,
     rec: &R,
 ) -> Result<RepSim, TbError> {
@@ -453,16 +460,7 @@ fn simulate_rep<R: Recorder>(
             .warming_budget(cfg.warming_budget)
             .recorder(rec)
             .build()?;
-        let r = simulate_guarded(
-            run,
-            spec,
-            gpu,
-            &mut sampler,
-            cfg.cycle_budget,
-            jobs,
-            rep,
-            rec,
-        )?;
+        let r = simulate_guarded(run, spec, gpu, &mut sampler, cfg.cycle_budget, rep, rec)?;
         let o = sampler.outcome();
         let launch_insts = launch_profile.warp_insts();
         let predicted_cycles = r.cycles as f64 + o.predicted_skipped_cycles;
@@ -491,7 +489,6 @@ fn simulate_rep<R: Recorder>(
         gpu,
         &mut NullSampling,
         cfg.cycle_budget,
-        jobs,
         rep,
         rec,
     )?;
@@ -594,8 +591,9 @@ fn aggregate(
 /// # Errors
 ///
 /// [`TbError::InvalidConfig`] when [`TbpointConfig::validate`] rejects
-/// `cfg`; [`TbError::ProfileMismatch`] when the profile's launch count
-/// differs from the run's.
+/// `cfg` or `cfg.mode` is not [`SamplingMode::TwoPhase`];
+/// [`TbError::ProfileMismatch`] when the profile's launch count differs
+/// from the run's.
 pub fn run_tbpoint(
     run: &KernelRun,
     profile: &RunProfile,
@@ -609,16 +607,17 @@ pub fn run_tbpoint(
 ///
 /// Step 2 fans the representatives out across `plan.pool_workers`
 /// threads of the deterministic job pool (whole launches are the unit
-/// of scheduling); each launch simulation itself runs with
-/// `plan.sim_jobs` SM-shard workers. Results land in per-representative
-/// slots and are merged in canonical representative order, so the
-/// [`TbpointResult`] is bit-identical to serial at every worker count
-/// on both axes (the golden determinism suite asserts this).
+/// of scheduling). Results land in per-representative slots and are
+/// merged in canonical representative order, so the [`TbpointResult`]
+/// is bit-identical to serial at every worker count (the golden
+/// determinism suite asserts this).
 ///
 /// # Errors
 ///
-/// Exactly as [`run_tbpoint`]; a failing representative reports the
-/// error with the lowest recorded representative index.
+/// As [`run_tbpoint`], plus [`TbError::InvalidConfig`] naming
+/// `sim_jobs` when `plan.sim_jobs` is neither 0 nor 1. A failing
+/// representative reports the error with the lowest recorded
+/// representative index.
 pub fn run_tbpoint_plan(
     run: &KernelRun,
     profile: &RunProfile,
@@ -626,7 +625,7 @@ pub fn run_tbpoint_plan(
     gpu: &GpuConfig,
     plan: ExecPlan,
 ) -> Result<TbpointResult, TbError> {
-    cfg.validate()?;
+    let plan = validate_call(cfg, SamplingMode::TwoPhase, plan)?;
     check_profile(run, profile)?;
     let n_launches = run.launches.len();
     let inter = pick_launches(profile, cfg, n_launches);
@@ -634,19 +633,9 @@ pub fn run_tbpoint_plan(
 
     // Step 2: simulate each representative with intra-launch sampling,
     // scheduled as whole launches across the pool.
-    let plan = plan.normalized();
     let reps = &inter.representatives;
     let rep_results = run_indexed(plan.pool_workers, reps.len(), |i| {
-        simulate_rep(
-            run,
-            profile,
-            cfg,
-            gpu,
-            occupancy,
-            plan.sim_jobs,
-            reps[i],
-            &NullRecorder,
-        )
+        simulate_rep(run, profile, cfg, gpu, occupancy, reps[i], &NullRecorder)
     })
     .map_err(|(_, e)| e)?;
 
@@ -686,7 +675,7 @@ pub fn run_tbpoint_traced(
 ///
 /// # Errors
 ///
-/// Exactly as [`run_tbpoint`].
+/// Exactly as [`run_tbpoint_plan`].
 pub fn run_tbpoint_traced_plan(
     run: &KernelRun,
     profile: &RunProfile,
@@ -694,13 +683,12 @@ pub fn run_tbpoint_traced_plan(
     gpu: &GpuConfig,
     plan: ExecPlan,
 ) -> Result<(TbpointResult, Vec<LaunchTrace>), TbError> {
-    cfg.validate()?;
+    let plan = validate_call(cfg, SamplingMode::TwoPhase, plan)?;
     check_profile(run, profile)?;
     let n_launches = run.launches.len();
     let inter = pick_launches(profile, cfg, n_launches);
     let occupancy = gpu.system_occupancy(&run.kernel);
 
-    let plan = plan.normalized();
     let reps = &inter.representatives;
     let outcomes = run_indexed(plan.pool_workers, reps.len(), |i| {
         let rep = reps[i];
@@ -709,7 +697,7 @@ pub fn run_tbpoint_traced_plan(
             launch: run.launches[rep].launch_id.0,
         };
         rec.span_start(0, span);
-        let r = simulate_rep(run, profile, cfg, gpu, occupancy, plan.sim_jobs, rep, &rec)?;
+        let r = simulate_rep(run, profile, cfg, gpu, occupancy, rep, &rec)?;
         rec.span_end(r.sim_cycles, span);
         Ok((r, rec.finish()))
     })
@@ -772,7 +760,6 @@ fn simulate_rep_live<R: Recorder>(
     gpu: &GpuConfig,
     occupancy: u32,
     block_invariant: bool,
-    jobs: usize,
     rep: usize,
     rec: &R,
 ) -> Result<RepSim, TbError> {
@@ -790,16 +777,7 @@ fn simulate_rep_live<R: Recorder>(
             .destab_tolerance(cfg.live_destab_tolerance)
             .recorder(rec)
             .build()?;
-        let r = simulate_guarded(
-            run,
-            spec,
-            gpu,
-            &mut sampler,
-            cfg.cycle_budget,
-            jobs,
-            rep,
-            rec,
-        )?;
+        let r = simulate_guarded(run, spec, gpu, &mut sampler, cfg.cycle_budget, rep, rec)?;
         let o = sampler.outcome();
         let est_total = r.issued_warp_insts + o.skipped_warp_insts;
         let predicted_cycles = r.cycles as f64 + o.predicted_skipped_cycles;
@@ -826,7 +804,6 @@ fn simulate_rep_live<R: Recorder>(
         gpu,
         &mut NullSampling,
         cfg.cycle_budget,
-        jobs,
         rep,
         rec,
     )?;
@@ -930,7 +907,8 @@ fn aggregate_live(run: &KernelRun, inter: InterResult, rep_results: &[RepSim]) -
 /// # Errors
 ///
 /// [`TbError::InvalidConfig`] when [`TbpointConfig::validate`] rejects
-/// `cfg`; [`TbError::BudgetExceeded`] when a representative overruns
+/// `cfg` or `cfg.mode` is not [`SamplingMode::Live`];
+/// [`TbError::BudgetExceeded`] when a representative overruns
 /// `cfg.cycle_budget`.
 pub fn run_tbpoint_live(
     run: &KernelRun,
@@ -943,29 +921,28 @@ pub fn run_tbpoint_live(
 /// [`run_tbpoint_live`] under an explicit [`ExecPlan`].
 ///
 /// Exactly like [`run_tbpoint_plan`], representatives fan out across
-/// `plan.pool_workers` pool threads and each launch runs with
-/// `plan.sim_jobs` SM-shard workers; the retire-time feature stream the
+/// `plan.pool_workers` pool threads; the retire-time feature stream the
 /// live sampler consumes is delivered in the same deterministic order at
-/// every worker count, so the result is bit-identical to serial on both
-/// axes.
+/// every worker count, so the result is bit-identical to serial.
 ///
 /// # Errors
 ///
-/// Exactly as [`run_tbpoint_live`]; a failing representative reports
-/// the error with the lowest recorded representative index.
+/// As [`run_tbpoint_live`], plus [`TbError::InvalidConfig`] naming
+/// `sim_jobs` when `plan.sim_jobs` is neither 0 nor 1. A failing
+/// representative reports the error with the lowest recorded
+/// representative index.
 pub fn run_tbpoint_live_plan(
     run: &KernelRun,
     cfg: &TbpointConfig,
     gpu: &GpuConfig,
     plan: ExecPlan,
 ) -> Result<TbpointResult, TbError> {
-    cfg.validate()?;
+    let plan = validate_call(cfg, SamplingMode::Live, plan)?;
     let inter = live_classes(run, cfg);
     let occupancy = gpu.system_occupancy(&run.kernel);
     let deps = TraceDeps::of(&run.kernel);
     let block_invariant = !deps.per_thread && !deps.per_block;
 
-    let plan = plan.normalized();
     let reps = &inter.representatives;
     let rep_results = run_indexed(plan.pool_workers, reps.len(), |i| {
         simulate_rep_live(
@@ -974,7 +951,6 @@ pub fn run_tbpoint_live_plan(
             gpu,
             occupancy,
             block_invariant,
-            plan.sim_jobs,
             reps[i],
             &NullRecorder,
         )
@@ -1007,20 +983,19 @@ pub fn run_tbpoint_live_traced(
 ///
 /// # Errors
 ///
-/// Exactly as [`run_tbpoint_live`].
+/// Exactly as [`run_tbpoint_live_plan`].
 pub fn run_tbpoint_live_traced_plan(
     run: &KernelRun,
     cfg: &TbpointConfig,
     gpu: &GpuConfig,
     plan: ExecPlan,
 ) -> Result<(TbpointResult, Vec<LaunchTrace>), TbError> {
-    cfg.validate()?;
+    let plan = validate_call(cfg, SamplingMode::Live, plan)?;
     let inter = live_classes(run, cfg);
     let occupancy = gpu.system_occupancy(&run.kernel);
     let deps = TraceDeps::of(&run.kernel);
     let block_invariant = !deps.per_thread && !deps.per_block;
 
-    let plan = plan.normalized();
     let reps = &inter.representatives;
     let outcomes = run_indexed(plan.pool_workers, reps.len(), |i| {
         let rep = reps[i];
@@ -1029,16 +1004,7 @@ pub fn run_tbpoint_live_traced_plan(
             launch: run.launches[rep].launch_id.0,
         };
         rec.span_start(0, span);
-        let r = simulate_rep_live(
-            run,
-            cfg,
-            gpu,
-            occupancy,
-            block_invariant,
-            plan.sim_jobs,
-            rep,
-            &rec,
-        )?;
+        let r = simulate_rep_live(run, cfg, gpu, occupancy, block_invariant, rep, &rec)?;
         rec.span_end(r.sim_cycles, span);
         Ok((r, rec.finish()))
     })
@@ -1060,6 +1026,13 @@ mod tests {
     use tbpoint_emu::profile_run;
     use tbpoint_ir::{AddrPattern, KernelBuilder, KernelRun, LaunchId, LaunchSpec, Op, TripCount};
     use tbpoint_sim::{simulate_run, NullSampling};
+
+    fn live_cfg() -> TbpointConfig {
+        TbpointConfig {
+            mode: SamplingMode::Live,
+            ..Default::default()
+        }
+    }
 
     fn homogeneous_run(n_launches: u32, blocks_per_launch: u32) -> KernelRun {
         let mut b = KernelBuilder::new("homog", 31, 128);
@@ -1466,7 +1439,7 @@ mod tests {
         let profile = profile_run(&run, 2);
         let cfg = TbpointConfig::default();
         let two_phase = run_tbpoint(&run, &profile, &cfg, &gpu).unwrap();
-        let live = run_tbpoint_live(&run, &cfg, &gpu).unwrap();
+        let live = run_tbpoint_live(&run, &live_cfg(), &gpu).unwrap();
         let rel = ((live.predicted_ipc - two_phase.predicted_ipc) / two_phase.predicted_ipc).abs();
         assert!(
             rel < 0.10,
@@ -1484,7 +1457,7 @@ mod tests {
         let cfg = TbpointConfig {
             inter_enabled: false,
             intra_enabled: false,
-            ..Default::default()
+            ..live_cfg()
         };
         let result = run_tbpoint_live(&run, &cfg, &gpu).unwrap();
         assert_eq!(result.sample_size(), 1.0);
@@ -1499,7 +1472,7 @@ mod tests {
         let cfg = TbpointConfig {
             warming_threshold: 1e-300,
             warming_budget: Some(crate::sampling::WARMING_WINDOW as u32),
-            ..Default::default()
+            ..live_cfg()
         };
         let (result, traces) = run_tbpoint_live_traced(&run, &cfg, &gpu).unwrap();
         assert_eq!(result.degraded_launches, 1);
@@ -1520,7 +1493,7 @@ mod tests {
         let gpu = GpuConfig::fermi();
         let cfg = TbpointConfig {
             cycle_budget: Some(1),
-            ..Default::default()
+            ..live_cfg()
         };
         let err = run_tbpoint_live(&run, &cfg, &gpu).unwrap_err();
         assert_eq!(
@@ -1540,21 +1513,21 @@ mod tests {
             (
                 TbpointConfig {
                     live_min_run: 0,
-                    ..Default::default()
+                    ..live_cfg()
                 },
                 "live_min_run",
             ),
             (
                 TbpointConfig {
                     live_guard_period: 0,
-                    ..Default::default()
+                    ..live_cfg()
                 },
                 "live_guard_period",
             ),
             (
                 TbpointConfig {
                     live_destab_tolerance: f64::NAN,
-                    ..Default::default()
+                    ..live_cfg()
                 },
                 "live_destab_tolerance",
             ),
@@ -1573,30 +1546,19 @@ mod tests {
         let gpu = GpuConfig::fermi();
         let cfg = TbpointConfig {
             inter_enabled: false,
-            ..Default::default()
+            ..live_cfg()
         };
         let serial = run_tbpoint_live(&run, &cfg, &gpu).unwrap();
         let (serial_traced, serial_traces) = run_tbpoint_live_traced(&run, &cfg, &gpu).unwrap();
         assert_eq!(serial, serial_traced, "tracing changed the live result");
-        for (sim_jobs, pool_workers) in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 4)] {
-            let plan = ExecPlan {
-                sim_jobs,
-                pool_workers,
-            };
+        for pool_workers in [1, 2, 4] {
+            let plan = ExecPlan::pool(pool_workers);
             let pooled = run_tbpoint_live_plan(&run, &cfg, &gpu, plan).unwrap();
-            assert_eq!(pooled, serial, "jobs={sim_jobs} workers={pool_workers}");
+            assert_eq!(pooled, serial, "workers={pool_workers}");
             let (traced, traces) = run_tbpoint_live_traced_plan(&run, &cfg, &gpu, plan).unwrap();
-            assert_eq!(
-                traced, serial_traced,
-                "jobs={sim_jobs} workers={pool_workers}"
-            );
-            // Trace *streams* are canonical across the pool axis. Across
-            // the SM-shard axis only the result is pinned: window
-            // boundaries legitimately split idle jumps differently (the
-            // same caveat as the two-phase pipeline).
-            if sim_jobs == 1 {
-                assert_eq!(traces, serial_traces, "workers={pool_workers}");
-            }
+            assert_eq!(traced, serial_traced, "workers={pool_workers}");
+            // Canonical-order merge: the trace streams match too.
+            assert_eq!(traces, serial_traces, "workers={pool_workers}");
         }
     }
 
@@ -1615,10 +1577,7 @@ mod tests {
         let (serial_traced, serial_traces) =
             run_tbpoint_traced(&run, &profile, &cfg, &gpu).unwrap();
         for pool_workers in [1, 2, 4] {
-            let plan = ExecPlan {
-                sim_jobs: 1,
-                pool_workers,
-            };
+            let plan = ExecPlan::pool(pool_workers);
             let pooled = run_tbpoint_plan(&run, &profile, &cfg, &gpu, plan).unwrap();
             assert_eq!(pooled, serial, "pool_workers={pool_workers}");
             let (traced, traces) =
@@ -1628,5 +1587,73 @@ mod tests {
             // too, not just the results.
             assert_eq!(traces, serial_traces, "pool_workers={pool_workers}");
         }
+    }
+
+    fn assert_invalid<T: std::fmt::Debug>(r: Result<T, TbError>, field: &str) {
+        match r {
+            Err(TbError::InvalidConfig { field: f, .. }) => assert_eq!(f, field),
+            other => panic!("expected InvalidConfig({field}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn two_phase_family_rejects_a_live_config() {
+        let run = homogeneous_run(1, 10);
+        let gpu = GpuConfig::fermi();
+        let profile = profile_run(&run, 1);
+        let cfg = live_cfg();
+        let plan = ExecPlan::serial();
+        assert_invalid(run_tbpoint(&run, &profile, &cfg, &gpu), "mode");
+        assert_invalid(run_tbpoint_traced(&run, &profile, &cfg, &gpu), "mode");
+        assert_invalid(run_tbpoint_plan(&run, &profile, &cfg, &gpu, plan), "mode");
+        assert_invalid(
+            run_tbpoint_traced_plan(&run, &profile, &cfg, &gpu, plan),
+            "mode",
+        );
+    }
+
+    #[test]
+    fn live_family_rejects_a_two_phase_config() {
+        let run = homogeneous_run(1, 10);
+        let gpu = GpuConfig::fermi();
+        let cfg = TbpointConfig::default();
+        let plan = ExecPlan::serial();
+        assert_invalid(run_tbpoint_live(&run, &cfg, &gpu), "mode");
+        assert_invalid(run_tbpoint_live_traced(&run, &cfg, &gpu), "mode");
+        assert_invalid(run_tbpoint_live_plan(&run, &cfg, &gpu, plan), "mode");
+        assert_invalid(run_tbpoint_live_traced_plan(&run, &cfg, &gpu, plan), "mode");
+    }
+
+    #[test]
+    fn plan_entry_points_reject_sim_jobs_above_one() {
+        let run = homogeneous_run(1, 10);
+        let gpu = GpuConfig::fermi();
+        let profile = profile_run(&run, 1);
+        let plan = ExecPlan {
+            sim_jobs: 2,
+            pool_workers: 1,
+        };
+        let cfg = TbpointConfig::default();
+        assert_invalid(
+            run_tbpoint_plan(&run, &profile, &cfg, &gpu, plan),
+            "sim_jobs",
+        );
+        assert_invalid(
+            run_tbpoint_traced_plan(&run, &profile, &cfg, &gpu, plan),
+            "sim_jobs",
+        );
+        let cfg = live_cfg();
+        assert_invalid(run_tbpoint_live_plan(&run, &cfg, &gpu, plan), "sim_jobs");
+        assert_invalid(
+            run_tbpoint_live_traced_plan(&run, &cfg, &gpu, plan),
+            "sim_jobs",
+        );
+        // Zero keeps normalizing to one.
+        let zero = ExecPlan {
+            sim_jobs: 0,
+            pool_workers: 1,
+        };
+        assert!(run_tbpoint_plan(&run, &profile, &TbpointConfig::default(), &gpu, zero).is_ok());
+        assert!(run_tbpoint_live_plan(&run, &cfg, &gpu, zero).is_ok());
     }
 }

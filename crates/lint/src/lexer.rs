@@ -51,32 +51,15 @@ pub struct AllowDirective {
     pub rules: Vec<String>,
 }
 
-/// What a `tbpoint-*` annotation comment declares.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MarkerKind {
-    /// `tbpoint-phase: coordinator` — the next `fn` runs only at window
-    /// barriers and may touch cross-SM shared state.
-    Coordinator,
-    /// `tbpoint-phase: shard` — the next `fn` runs concurrently inside a
-    /// window and must not touch cross-SM shared state.
-    Shard,
-    /// `tbpoint-hot` — the next `fn` is a steady-state hot path and must
-    /// not allocate.
-    Hot,
-    /// `tbpoint-phase:` with an unrecognized value (kept for diagnostics).
-    InvalidPhase(String),
-}
-
-/// A `tbpoint-phase:`/`tbpoint-hot` annotation found in a comment. The
-/// comment must *start* with the directive (after whitespace), so prose
-/// that merely mentions the grammar — e.g. backtick-quoted examples in
-/// doc comments — is not an annotation.
+/// A `tbpoint-hot` annotation found in a comment: the next `fn` is a
+/// steady-state hot path and must not allocate. The comment must
+/// *start* with the directive (after whitespace), so prose that merely
+/// mentions the grammar — e.g. backtick-quoted examples in doc
+/// comments — is not an annotation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Marker {
     /// 1-based line the annotation appears on.
     pub line: u32,
-    /// What it declares about the next `fn` item.
-    pub kind: MarkerKind,
 }
 
 /// Result of lexing one file.
@@ -86,7 +69,7 @@ pub struct Lexed {
     pub tokens: Vec<Tok>,
     /// All allow directives, in source order.
     pub allows: Vec<AllowDirective>,
-    /// All phase/hot annotations, in source order.
+    /// All hot annotations, in source order.
     pub markers: Vec<Marker>,
 }
 
@@ -383,29 +366,17 @@ fn scan_allow(comment: &str, line: u32, out: &mut Vec<AllowDirective>) {
     }
 }
 
-/// Extract a `tbpoint-phase:`/`tbpoint-hot` annotation from comment text.
+/// Extract a `tbpoint-hot` annotation from comment text.
 ///
 /// Unlike allows (which may trail other text so they can sit after code),
 /// annotations are only recognized when the comment *starts* with them.
 /// Doc comments (`///`) lex with a leading `/` in their text, so prose
 /// examples inside docs never register as annotations.
 fn scan_marker(comment: &str, line: u32, out: &mut Vec<Marker>) {
-    let text = comment.trim_start();
-    if let Some(rest) = text.strip_prefix("tbpoint-phase:") {
-        let value = rest.split_whitespace().next().unwrap_or("");
-        let kind = match value {
-            "coordinator" => MarkerKind::Coordinator,
-            "shard" => MarkerKind::Shard,
-            other => MarkerKind::InvalidPhase(other.to_string()),
-        };
-        out.push(Marker { line, kind });
-    } else if let Some(rest) = text.strip_prefix("tbpoint-hot") {
+    if let Some(rest) = comment.trim_start().strip_prefix("tbpoint-hot") {
         // Require a word boundary so e.g. `tbpoint-hotfix` is prose.
         if rest.is_empty() || !rest.starts_with(|c: char| c.is_alphanumeric() || c == '-') {
-            out.push(Marker {
-                line,
-                kind: MarkerKind::Hot,
-            });
+            out.push(Marker { line });
         }
     }
 }
@@ -500,33 +471,19 @@ mod tests {
     #[test]
     fn markers_parse_when_anchored() {
         let src = "
-            // tbpoint-phase: coordinator
             fn a() {}
-            // tbpoint-phase: shard
-            fn b() {}
             // tbpoint-hot
+            fn b() {}
+            /* tbpoint-hot */
             fn c() {}
-            // tbpoint-phase: bogus
-            fn d() {}
         ";
         let lexed = lex(src);
-        let kinds: Vec<&MarkerKind> = lexed.markers.iter().map(|m| &m.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                &MarkerKind::Coordinator,
-                &MarkerKind::Shard,
-                &MarkerKind::Hot,
-                &MarkerKind::InvalidPhase("bogus".to_string()),
-            ]
-        );
-        assert_eq!(lexed.markers[0].line, 2);
+        assert_eq!(lexed.markers, vec![Marker { line: 3 }, Marker { line: 5 }]);
     }
 
     #[test]
     fn marker_mentions_in_prose_are_ignored() {
         let src = "
-            /// Annotate with `// tbpoint-phase: coordinator` to declare it.
             /// The `// tbpoint-hot` marker bans allocation.
             // see the tbpoint-hot docs
             // tbpoint-hotfix

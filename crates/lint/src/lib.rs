@@ -28,20 +28,14 @@
 //!   non-test library code.
 //! * `no-lossy-cast` — no truncating `as` casts on counter-like values in
 //!   `sim`/`core` hot paths.
-//! * `barrier-phase-discipline` — cross-SM shared state (MSHRs, L2, DRAM,
-//!   `MemorySystem` handles) only from functions annotated as
-//!   coordinator-phase; see [`parser`] for the annotation grammar.
 //! * `no-alloc-in-hot-path` — no per-call allocation inside functions
-//!   annotated as hot.
-//! * `canonical-order-sort` — `(cycle, sm)` event sorts must use the one
-//!   blessed comparator (`tbpoint_sim::order::cycle_sm_key`).
+//!   annotated as hot; see [`parser`] for the annotation grammar.
 //! * `unused-allow-directive` — an allow directive that suppresses
 //!   nothing is stale and reported (warning).
 //!
 //! Beyond the token scan, the analyzer builds a per-file item tree
-//! ([`parser`]) and intra-procedural use-def chains ([`dataflow`]) so
-//! the phase rule can track shared-state handles through `let` bindings
-//! and parameters — still with no rustc or `syn` dependency.
+//! ([`parser`]) so the hot-path rule knows which function each token
+//! belongs to — still with no rustc or `syn` dependency.
 //!
 //! Test code (`#[cfg(test)]` modules, `#[test]` functions, `tests/`,
 //! `benches/`, `examples/` trees) is exempt: panics and ad-hoc hashing are
@@ -52,7 +46,6 @@
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 
-pub mod dataflow;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
@@ -667,6 +660,19 @@ mod tests {
         assert_eq!(report.summary.by_rule.get("zz-rule"), Some(&2));
         assert_eq!(report.summary.by_severity.get("error"), Some(&3));
         assert_eq!(report.summary.by_severity.get("warning"), Some(&1));
+    }
+
+    #[test]
+    fn dangling_hot_marker_is_a_warning() {
+        let src = "
+            fn f() {}
+            // tbpoint-hot
+        ";
+        let diags = analyze_source("crates/sim/src/x.rs", src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, rules::NO_ALLOC_IN_HOT_PATH);
+        assert_eq!(diags[0].severity, Severity::Warning);
+        assert_eq!(diags[0].line, 3);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `no-alloc-in-hot-path`: functions annotated `tbpoint-hot` must not
 //! allocate.
 //!
-//! PR 4/5 made the steady-state simulation loop allocation-free by hand
+//! The steady-state simulation loop is allocation-free by hand
 //! (reused scratch buffers, fixed arrays, `Vec::push` into pre-grown
 //! buffers) and claimed so in comments. This rule turns the claim into a
 //! checked property: mark the hot function with a plain `//` comment
@@ -43,6 +43,20 @@ const ALLOC_MACROS: &[&str] = &["format", "vec"];
 
 /// Run the rule over one file.
 pub fn check(ctx: &FileContext, tokens: &[Tok], tree: &ItemTree, out: &mut Vec<Diagnostic>) {
+    // A misplaced or typo'd annotation must be a diagnostic, never a
+    // silent no-op.
+    for marker in &tree.dangling {
+        out.push(
+            ctx.diagnostic(
+                NO_ALLOC_IN_HOT_PATH,
+                Severity::Warning,
+                marker.line,
+                "annotation attaches to no function (no `fn` at or below this line); \
+             move it directly above the item it describes or remove it"
+                    .to_string(),
+            ),
+        );
+    }
     for f in &tree.fns {
         if !f.hot || f.body.is_empty() {
             continue;

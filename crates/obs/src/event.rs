@@ -203,12 +203,10 @@ pub enum EventKind {
     },
 }
 
-/// One parallelism axis of the two-axis execution plan (payload of
+/// The parallelism axis of the execution plan (payload of
 /// [`EventKind::ExecPlanAdjusted`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PlanAxis {
-    /// Intra-launch SM sharding (`--jobs` / `TBPOINT_JOBS`).
-    SimJobs,
     /// Cross-launch pool workers (`--pool-workers` /
     /// `TBPOINT_POOL_WORKERS`).
     PoolWorkers,
@@ -412,7 +410,7 @@ mod tests {
         );
         assert_eq!(
             EventKind::ExecPlanAdjusted {
-                axis: PlanAxis::SimJobs,
+                axis: PlanAxis::PoolWorkers,
                 requested: 0,
                 used: 1,
             }

@@ -8,11 +8,10 @@
 //!
 //! TBPoint's pipelines are piles of *independent* work items — launches
 //! inside [`run_tbpoint`](../tbpoint_core/predict/fn.run_tbpoint.html),
-//! benchmarks inside a sweep, config points inside an ablation. PR 5's
-//! intra-launch SM sharding showed that fine-grained parallelism pays
-//! heavy coordination rent (par_speedup 0.18–0.74x on a 1-CPU host);
-//! this crate adds the coarse-grained axis: whole launches and whole
-//! sweep units scheduled across worker threads.
+//! benchmarks inside a sweep, config points inside an ablation. This
+//! crate is the workspace's one parallel axis: whole launches and whole
+//! sweep units scheduled across worker threads; each launch's cycle loop
+//! stays serial (DESIGN.md, "Parallelism").
 //!
 //! Three pieces:
 //!
@@ -24,8 +23,8 @@
 //!   [`run_supervised`], the service-grade variant that contains a
 //!   panicking unit to its own index ([`UnitError::Panicked`]) while
 //!   the pool keeps draining.
-//! * [`plan`] — [`ExecPlan`]`{ sim_jobs, pool_workers }`, the single
-//!   validated home for every parallelism knob, resolved once with
+//! * [`plan`] — [`ExecPlan`], the single validated home for the
+//!   parallelism knob (`pool_workers`), resolved once with
 //!   precedence CLI > environment > config > auto. Adjustments
 //!   (zero or unparseable requests) surface as structured
 //!   [`tbpoint_obs::EventKind::ExecPlanAdjusted`] events instead of
@@ -43,7 +42,6 @@ pub mod unit;
 
 pub use plan::{
     resolve, resolve_from_env, ExecPlan, PlanInputs, PlanNote, PlanSource, ENV_POOL_WORKERS,
-    ENV_SIM_JOBS,
 };
 pub use runner::{map_indexed, run_indexed, run_supervised, UnitError};
 pub use unit::SweepUnit;

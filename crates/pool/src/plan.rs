@@ -1,25 +1,15 @@
-//! `ExecPlan`: the single validated home for every parallelism knob.
+//! `ExecPlan`: the single validated home for the parallelism knob.
 //!
-//! Before this crate, parallelism was scattered: `SimOptions::jobs` on
-//! the simulator, `TbpointConfig::sim_jobs` on the pipeline config, the
-//! `TBPOINT_JOBS` environment variable, the CLI `--jobs` flag — each
-//! with its own clamp-and-warn path. An [`ExecPlan`] names both axes in
-//! one place:
-//!
-//! * `sim_jobs` — **intra-launch** SM sharding (PR 5): how many threads
-//!   shard the SMs of a single simulated launch. The simulator still
-//!   clamps this structurally to the SM count.
-//! * `pool_workers` — **cross-launch** pool workers: how many threads
-//!   the [`runner`](crate::runner) pool uses to schedule whole launches
-//!   and sweep units.
+//! The workspace has one parallel axis: `pool_workers`, the number of
+//! threads the [`runner`](crate::runner) pool uses to schedule whole
+//! launches and sweep units. Each launch's cycle loop is serial.
 //!
 //! Resolution happens in exactly one place ([`resolve`]) with fixed
-//! precedence per axis: **CLI flag > environment variable > config >
-//! auto**. A request of `0` or unparseable environment text resolves
-//! the axis to serial (`1`) and produces a [`PlanNote`]; the caller
-//! emits each note as one structured
-//! [`EventKind::ExecPlanAdjusted`](tbpoint_obs::EventKind) event — the
-//! replacement for the old free-form stderr warnings.
+//! precedence: **CLI flag > environment variable > config > auto**. A
+//! request of `0` or unparseable environment text resolves to serial
+//! (`1`) and produces a [`PlanNote`]; the caller emits each note as one
+//! structured [`EventKind::ExecPlanAdjusted`](tbpoint_obs::EventKind)
+//! event — the replacement for the old free-form stderr warnings.
 //!
 //! The plan is an *execution* concern, deliberately kept out of
 //! `TbpointConfig` and every serialized result artifact: results are
@@ -30,28 +20,25 @@
 use serde::{Deserialize, Serialize};
 use tbpoint_obs::{Event, EventKind, PlanAxis};
 
-/// Environment variable for the intra-launch axis ([`ExecPlan::sim_jobs`]).
-pub const ENV_SIM_JOBS: &str = "TBPOINT_JOBS";
-
-/// Environment variable for the cross-launch axis
-/// ([`ExecPlan::pool_workers`]).
+/// Environment variable for [`ExecPlan::pool_workers`].
 pub const ENV_POOL_WORKERS: &str = "TBPOINT_POOL_WORKERS";
 
-/// The two-axis parallelism plan. Both axes are worker counts with
-/// serial (`1`) as the neutral value; `0` never survives resolution.
+/// The parallelism plan: a worker count with serial (`1`) as the
+/// neutral value; `0` never survives resolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecPlan {
-    /// Intra-launch SM-shard workers per simulated launch (PR 5's
-    /// `--jobs` axis; structurally clamped to the SM count by the
-    /// simulator).
+    /// Compatibility shim left from the removed intra-launch SM
+    /// sharding, kept so existing struct literals still compile. Must
+    /// be 1 (0 normalizes to 1); the pipeline entry points reject any
+    /// other value with an `InvalidConfig` error.
     pub sim_jobs: usize,
     /// Cross-launch pool workers scheduling whole launches / sweep
-    /// units (this crate's `--pool-workers` axis).
+    /// units (the `--pool-workers` knob).
     pub pool_workers: usize,
 }
 
 impl Default for ExecPlan {
-    /// Serial on both axes.
+    /// Serial.
     fn default() -> Self {
         ExecPlan {
             sim_jobs: 1,
@@ -61,19 +48,26 @@ impl Default for ExecPlan {
 }
 
 impl ExecPlan {
-    /// Serial on both axes (alias for [`Default`], reads better at call
-    /// sites).
+    /// Serial (alias for [`Default`], reads better at call sites).
     #[must_use]
     pub fn serial() -> Self {
         ExecPlan::default()
+    }
+
+    /// A plan with `pool_workers` workers.
+    #[must_use]
+    pub fn pool(pool_workers: usize) -> Self {
+        ExecPlan {
+            pool_workers,
+            ..ExecPlan::default()
+        }
     }
 
     /// The plan handed to work running *inside* one pool unit.
     ///
     /// The outermost scheduler spends the `pool_workers` budget once;
     /// nested fan-out would multiply thread counts (`workers x workers`
-    /// oversubscription), so units run with `pool_workers = 1` while
-    /// the intra-launch axis is preserved.
+    /// oversubscription), so units run with `pool_workers = 1`.
     #[must_use]
     pub fn unit(self) -> Self {
         ExecPlan {
@@ -82,7 +76,7 @@ impl ExecPlan {
         }
     }
 
-    /// Both axes clamped to at least one. Defensive normalization for
+    /// Both fields clamped to at least one. Defensive normalization for
     /// plans that arrive from deserialized configs without passing
     /// through [`resolve`].
     #[must_use]
@@ -94,12 +88,12 @@ impl ExecPlan {
     }
 }
 
-/// Where a resolved (and possibly adjusted) axis value came from.
+/// Where a resolved (and possibly adjusted) value came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanSource {
-    /// A CLI flag (`--jobs` / `--pool-workers`).
+    /// The `--pool-workers` CLI flag.
     Cli,
-    /// An environment variable (`TBPOINT_JOBS` / `TBPOINT_POOL_WORKERS`).
+    /// The `TBPOINT_POOL_WORKERS` environment variable.
     Env,
     /// A config value carried by the caller.
     Config,
@@ -116,7 +110,7 @@ impl std::fmt::Display for PlanSource {
 }
 
 /// One adjustment made during resolution: the requested value was zero
-/// or unparseable and the axis fell back to serial.
+/// or unparseable and the plan fell back to serial.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanNote {
     /// Which axis was adjusted.
@@ -152,7 +146,6 @@ impl PlanNote {
 impl std::fmt::Display for PlanNote {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let axis = match self.axis {
-            PlanAxis::SimJobs => "sim_jobs",
             PlanAxis::PoolWorkers => "pool_workers",
         };
         write!(
@@ -168,117 +161,72 @@ impl std::fmt::Display for PlanNote {
 /// provided at this precedence level".
 #[derive(Debug, Clone, Default)]
 pub struct PlanInputs<'a> {
-    /// `--jobs` flag value, if given.
-    pub cli_sim_jobs: Option<usize>,
     /// `--pool-workers` flag value, if given.
     pub cli_pool_workers: Option<usize>,
-    /// Raw `TBPOINT_JOBS` text, if set.
-    pub env_sim_jobs: Option<&'a str>,
     /// Raw `TBPOINT_POOL_WORKERS` text, if set.
     pub env_pool_workers: Option<&'a str>,
     /// A config-supplied plan (lowest explicit precedence).
     pub config: Option<ExecPlan>,
-    /// Fallback when no level supplies an axis. The default is serial;
-    /// interactive drivers typically pass the host CPU count for
-    /// `pool_workers`.
+    /// Fallback when no level supplies a worker count. The default is
+    /// serial; interactive drivers typically pass the host CPU count.
     pub auto: ExecPlan,
 }
 
-/// Resolve one axis through the precedence chain, recording a
-/// [`PlanNote`] whenever a level supplied an unusable request.
-fn resolve_axis(
-    axis: PlanAxis,
-    cli: Option<usize>,
-    env: Option<&str>,
-    config: Option<usize>,
-    auto: usize,
-    notes: &mut Vec<PlanNote>,
-) -> usize {
-    let mut note = |source: PlanSource, raw: &str, requested: u64| {
+/// Resolve an [`ExecPlan`] from explicit inputs with precedence
+/// **CLI > environment > config > auto**.
+///
+/// Returns the plan plus a [`PlanNote`] when the winning level supplied
+/// an unusable request (zero or unparseable → serial).
+#[must_use]
+pub fn resolve(inputs: &PlanInputs<'_>) -> (ExecPlan, Vec<PlanNote>) {
+    let mut notes = Vec::new();
+    let mut note = |source: PlanSource, raw: &str| {
         notes.push(PlanNote {
-            axis,
+            axis: PlanAxis::PoolWorkers,
             source,
             raw: raw.to_string(),
-            requested,
+            requested: 0,
             used: 1,
         });
         1
     };
-    if let Some(v) = cli {
-        return if v == 0 {
-            note(PlanSource::Cli, "0", 0)
+    let pool_workers = if let Some(v) = inputs.cli_pool_workers {
+        if v == 0 {
+            note(PlanSource::Cli, "0")
         } else {
             v
-        };
-    }
-    if let Some(raw) = env {
+        }
+    } else if let Some(raw) = inputs.env_pool_workers {
         // An explicit but unusable request resolves to serial rather
         // than falling through: the user *did* ask for something, and
         // silently substituting a lower level's value would hide that.
-        return match raw.trim().parse::<usize>() {
-            Ok(0) => note(PlanSource::Env, raw, 0),
-            Ok(v) => v,
-            Err(_) => note(PlanSource::Env, raw, 0),
-        };
-    }
-    if let Some(v) = config {
-        return if v == 0 {
-            note(PlanSource::Config, "0", 0)
+        match raw.trim().parse::<usize>() {
+            Ok(v) if v > 0 => v,
+            _ => note(PlanSource::Env, raw),
+        }
+    } else if let Some(c) = inputs.config {
+        if c.pool_workers == 0 {
+            note(PlanSource::Config, "0")
         } else {
-            v
-        };
-    }
-    auto.max(1)
-}
-
-/// Resolve an [`ExecPlan`] from explicit inputs with precedence
-/// **CLI > environment > config > auto**, per axis independently.
-///
-/// Returns the plan plus one [`PlanNote`] per adjustment (zero or
-/// unparseable request at the winning level → that axis is serial).
-#[must_use]
-pub fn resolve(inputs: &PlanInputs<'_>) -> (ExecPlan, Vec<PlanNote>) {
-    let mut notes = Vec::new();
-    let sim_jobs = resolve_axis(
-        PlanAxis::SimJobs,
-        inputs.cli_sim_jobs,
-        inputs.env_sim_jobs,
-        inputs.config.map(|c| c.sim_jobs),
-        inputs.auto.sim_jobs,
-        &mut notes,
-    );
-    let pool_workers = resolve_axis(
-        PlanAxis::PoolWorkers,
-        inputs.cli_pool_workers,
-        inputs.env_pool_workers,
-        inputs.config.map(|c| c.pool_workers),
-        inputs.auto.pool_workers,
-        &mut notes,
-    );
-    (
-        ExecPlan {
-            sim_jobs,
-            pool_workers,
-        },
-        notes,
-    )
+            c.pool_workers
+        }
+    } else {
+        inputs.auto.pool_workers.max(1)
+    };
+    (ExecPlan::pool(pool_workers), notes)
 }
 
 /// [`resolve`] with the environment level read from the live process
-/// environment (`TBPOINT_JOBS` / `TBPOINT_POOL_WORKERS`).
+/// environment (`TBPOINT_POOL_WORKERS`).
 #[must_use]
 pub fn resolve_from_env(
-    cli_sim_jobs: Option<usize>,
     cli_pool_workers: Option<usize>,
     config: Option<ExecPlan>,
     auto: ExecPlan,
 ) -> (ExecPlan, Vec<PlanNote>) {
-    let env_sim_jobs = std::env::var(ENV_SIM_JOBS).ok();
     let env_pool_workers = std::env::var(ENV_POOL_WORKERS).ok();
     resolve(&PlanInputs {
-        cli_sim_jobs,
         cli_pool_workers,
-        env_sim_jobs: env_sim_jobs.as_deref(),
         env_pool_workers: env_pool_workers.as_deref(),
         config,
         auto,
@@ -294,34 +242,25 @@ mod tests {
     }
 
     #[test]
-    fn explicit_flags_win_over_environment() {
-        let inputs = PlanInputs {
-            cli_sim_jobs: Some(3),
+    fn explicit_flag_wins_over_environment() {
+        let (plan, notes) = resolve(&PlanInputs {
             cli_pool_workers: Some(5),
-            env_sim_jobs: Some("7"),
             env_pool_workers: Some("9"),
             ..PlanInputs::default()
-        };
-        let (plan, notes) = resolve(&inputs);
-        assert_eq!(
-            plan,
-            ExecPlan {
-                sim_jobs: 3,
-                pool_workers: 5
-            }
-        );
+        });
+        assert_eq!(plan, ExecPlan::pool(5));
         assert!(notes.is_empty());
     }
 
     #[test]
     fn explicit_zero_clamps_to_serial_with_a_note() {
         let (plan, notes) = resolve(&PlanInputs {
-            cli_sim_jobs: Some(0),
+            cli_pool_workers: Some(0),
             ..PlanInputs::default()
         });
-        assert_eq!(plan.sim_jobs, 1);
+        assert_eq!(plan, ExecPlan::serial());
         assert_eq!(notes.len(), 1);
-        assert_eq!(notes[0].axis, tbpoint_obs::PlanAxis::SimJobs);
+        assert_eq!(notes[0].axis, tbpoint_obs::PlanAxis::PoolWorkers);
         assert_eq!(notes[0].source, PlanSource::Cli);
         assert_eq!(notes[0].requested, 0);
         assert_eq!(notes[0].used, 1);
@@ -330,17 +269,10 @@ mod tests {
     #[test]
     fn environment_applies_when_no_flag() {
         let plan = plan_of(&PlanInputs {
-            env_sim_jobs: Some("5"),
             env_pool_workers: Some(" 6 "),
             ..PlanInputs::default()
         });
-        assert_eq!(
-            plan,
-            ExecPlan {
-                sim_jobs: 5,
-                pool_workers: 6
-            }
-        );
+        assert_eq!(plan, ExecPlan::pool(6));
     }
 
     #[test]
@@ -358,73 +290,50 @@ mod tests {
 
     #[test]
     fn config_sits_below_environment_and_above_auto() {
-        let cfg = Some(ExecPlan {
-            sim_jobs: 2,
-            pool_workers: 3,
-        });
-        let auto = ExecPlan {
-            sim_jobs: 1,
-            pool_workers: 8,
-        };
+        let cfg = Some(ExecPlan::pool(3));
+        let auto = ExecPlan::pool(8);
         let plan = plan_of(&PlanInputs {
             config: cfg,
             auto,
             ..PlanInputs::default()
         });
-        assert_eq!(
-            plan,
-            ExecPlan {
-                sim_jobs: 2,
-                pool_workers: 3
-            }
-        );
+        assert_eq!(plan, ExecPlan::pool(3));
         let plan = plan_of(&PlanInputs {
             env_pool_workers: Some("4"),
             config: cfg,
             auto,
             ..PlanInputs::default()
         });
-        assert_eq!(plan.pool_workers, 4);
-        assert_eq!(plan.sim_jobs, 2);
+        assert_eq!(plan, ExecPlan::pool(4));
     }
 
     #[test]
     fn auto_fills_last_and_is_never_zero() {
-        let plan = plan_of(&PlanInputs {
-            auto: ExecPlan {
-                sim_jobs: 0,
-                pool_workers: 8,
-            },
-            ..PlanInputs::default()
-        });
         assert_eq!(
-            plan,
-            ExecPlan {
-                sim_jobs: 1,
-                pool_workers: 8
-            }
+            plan_of(&PlanInputs {
+                auto: ExecPlan::pool(8),
+                ..PlanInputs::default()
+            }),
+            ExecPlan::pool(8)
+        );
+        assert_eq!(
+            plan_of(&PlanInputs {
+                auto: ExecPlan::pool(0),
+                ..PlanInputs::default()
+            }),
+            ExecPlan::serial()
         );
     }
 
     #[test]
     fn unit_plan_spends_the_pool_budget_once() {
-        let plan = ExecPlan {
-            sim_jobs: 2,
-            pool_workers: 8,
-        };
-        assert_eq!(
-            plan.unit(),
-            ExecPlan {
-                sim_jobs: 2,
-                pool_workers: 1
-            }
-        );
+        assert_eq!(ExecPlan::pool(8).unit(), ExecPlan::serial());
     }
 
     #[test]
     fn notes_render_as_structured_events() {
         let (_, notes) = resolve(&PlanInputs {
-            env_sim_jobs: Some("nope"),
+            env_pool_workers: Some("nope"),
             ..PlanInputs::default()
         });
         let line = tbpoint_obs::event_line(&notes[0].event());

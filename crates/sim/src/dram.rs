@@ -75,7 +75,6 @@ pub struct Dram {
 
 impl Dram {
     /// Build from the machine config.
-    // tbpoint-phase: coordinator
     pub fn new(cfg: &GpuConfig) -> Self {
         let channels = cfg.dram_channels as u64;
         let banks_per_channel = cfg.dram_banks_per_channel as u64;

@@ -32,85 +32,11 @@ struct ResidentBlock {
     warps: Vec<WarpRt>,
     live: u32,
     at_barrier: u32,
-    /// Warp instructions not yet issued, across all warps. An SM issues
-    /// at most one instruction per cycle, so a block with `remaining`
-    /// left cannot retire before `now + remaining - 1` — the bound the
-    /// parallel simulator's window sizing rests on
-    /// ([`SmCore::earliest_retire_bound`]).
-    remaining: u64,
     /// Feature counters accumulated at issue time — at retirement they
     /// equal exactly what the profiler would have recorded for this
     /// block ([`tbpoint_emu::profile_tb`] counts the same events), which
     /// is what lets the live sampler run without a profiling pass.
     stats: TbStats,
-}
-
-/// How the memory backend resolved one coalesced load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LoadOutcome {
-    /// Completion cycle known now (serial path, or an all-L1-hit load on
-    /// the sharded path).
-    Done(u64),
-    /// Completion depends on shared state the shard cannot touch; the
-    /// warp sleeps with `ready_at = u64::MAX` until the window barrier
-    /// resolves it via [`SmCore::resolve_deferred_load`].
-    Deferred,
-}
-
-/// The memory side of an issue: where a global-memory instruction's
-/// coalesced lines go. The serial simulator walks the full hierarchy
-/// inline ([`DirectMem`]); the sharded simulator probes the shard-local
-/// L1 and buffers the shared-path remainder for the window barrier.
-/// [`SmCore::try_issue_mem`] is monomorphised over this, so both paths
-/// run the identical issue body.
-pub(crate) trait IssueMem {
-    /// Resolve the lines of one load from SM `sm` (slot/warp identify the
-    /// issuing warp for deferred resolution); `alu_done` is the issue
-    /// pipeline floor (`now + alu_latency`).
-    fn load(
-        &mut self,
-        sm: usize,
-        slot: usize,
-        warp: usize,
-        lines: &tbpoint_ir::inst::CoalescedLines,
-        now: u64,
-        alu_done: u64,
-    ) -> LoadOutcome;
-
-    /// Resolve the lines of one store (fire-and-forget).
-    fn store(&mut self, sm: usize, lines: &tbpoint_ir::inst::CoalescedLines, now: u64);
-}
-
-/// The serial backend: the classic inline walk through [`MemorySystem`].
-pub(crate) struct DirectMem<'a, 'r, R: Recorder + ?Sized> {
-    pub mem: &'a mut MemorySystem,
-    pub rec: &'r R,
-}
-
-impl<R: Recorder + ?Sized> IssueMem for DirectMem<'_, '_, R> {
-    // tbpoint-phase: coordinator
-    fn load(
-        &mut self,
-        sm: usize,
-        _slot: usize,
-        _warp: usize,
-        lines: &tbpoint_ir::inst::CoalescedLines,
-        now: u64,
-        alu_done: u64,
-    ) -> LoadOutcome {
-        let mut done_at = alu_done;
-        for line in lines.iter() {
-            done_at = done_at.max(self.mem.load_obs(sm, line, now, self.rec));
-        }
-        LoadOutcome::Done(done_at)
-    }
-
-    // tbpoint-phase: coordinator
-    fn store(&mut self, sm: usize, lines: &tbpoint_ir::inst::CoalescedLines, now: u64) {
-        for line in lines.iter() {
-            self.mem.store_obs(sm, line, now, self.rec);
-        }
-    }
 }
 
 /// Outcome of one issue attempt.
@@ -260,10 +186,6 @@ impl SmCore {
         if live == 0 {
             return Some(tb_id); // degenerate block, retires instantly
         }
-        let remaining = warps
-            .iter()
-            .map(|w| u64::try_from(w.trace.len()).unwrap_or(u64::MAX))
-            .fold(0u64, u64::saturating_add);
         self.take_free_slot(slot);
         self.resident += 1;
         // New warps wake at `start` — lower the hint so the fast path
@@ -275,7 +197,6 @@ impl SmCore {
             warps,
             live,
             at_barrier: 0,
-            remaining,
             stats: TbStats::default(),
         });
         None
@@ -381,7 +302,6 @@ impl SmCore {
     }
 
     /// Attempt to issue one warp instruction at cycle `now`.
-    // tbpoint-phase: coordinator
     pub fn try_issue(&mut self, now: u64, mem: &mut MemorySystem) -> IssueResult {
         self.try_issue_obs(now, mem, &NullRecorder)
     }
@@ -389,26 +309,11 @@ impl SmCore {
     /// [`SmCore::try_issue`] with observability: issue counters plus the
     /// cache/DRAM events the memory system emits. Monomorphised over the
     /// recorder, so `NullRecorder` compiles the instrumentation away.
-    // tbpoint-phase: coordinator
+    // tbpoint-hot
     pub fn try_issue_obs<R: Recorder + ?Sized>(
         &mut self,
         now: u64,
         mem: &mut MemorySystem,
-        rec: &R,
-    ) -> IssueResult {
-        let mut port = DirectMem { mem, rec };
-        self.try_issue_mem(now, &mut port, rec)
-    }
-
-    /// The one issue body, generic over where memory traffic goes
-    /// ([`IssueMem`]): the serial walk and the sharded window runner both
-    /// compile down from this, which is what keeps them bit-identical by
-    /// construction rather than by parallel maintenance.
-    // tbpoint-hot
-    pub(crate) fn try_issue_mem<M: IssueMem, R: Recorder + ?Sized>(
-        &mut self,
-        now: u64,
-        mem: &mut M,
         rec: &R,
     ) -> IssueResult {
         // Event-horizon fast path. `now < ready_hint` implies a *failed*
@@ -445,7 +350,6 @@ impl SmCore {
             };
         };
         let ctx = block.ctx;
-        block.remaining = block.remaining.saturating_sub(1);
         let warp = &mut block.warps[w];
         let inst = warp.trace[warp.pc];
         warp.pc += 1;
@@ -480,23 +384,20 @@ impl SmCore {
                     block.stats.mem_requests += lines.len() as u64;
                     let is_store = matches!(inst.op, Op::StGlobal(_));
                     if is_store {
-                        mem.store(self.id, &lines, now);
+                        for line in lines.iter() {
+                            mem.store_obs(self.id, line, now, rec);
+                        }
                         // Fire-and-forget: the warp only pays issue latency.
                         warp.ready_at = now + self.alu_latency;
                     } else {
-                        match mem.load(self.id, s, w, &lines, now, now + self.alu_latency) {
-                            LoadOutcome::Done(done_at) => {
-                                warp.ready_at = done_at;
-                                self.stats.load_latency_sum += done_at - now;
-                                self.stats.loads_waited += 1;
-                                rec.counter("load_wait_cycles", done_at - now);
-                            }
-                            LoadOutcome::Deferred => {
-                                // Asleep until the window barrier resolves
-                                // the shared half of the access.
-                                warp.ready_at = u64::MAX;
-                            }
+                        let mut done_at = now + self.alu_latency;
+                        for line in lines.iter() {
+                            done_at = done_at.max(mem.load_obs(self.id, line, now, rec));
                         }
+                        warp.ready_at = done_at;
+                        self.stats.load_latency_sum += done_at - now;
+                        self.stats.loads_waited += 1;
+                        rec.counter("load_wait_cycles", done_at - now);
                     }
                 } else {
                     warp.ready_at = now + self.alu_latency;
@@ -594,70 +495,5 @@ impl SmCore {
         if !self.is_empty() {
             self.stats.resident_cycles += delta;
         }
-    }
-
-    /// Resolve a load deferred at (`slot`, `warp`) during a parallel
-    /// window: the barrier replay computed `done_at` from the shared
-    /// hierarchy, exactly as the serial walk would have at `issued_at`.
-    /// Accounting mirrors the serial issue site; the wake lowers
-    /// `ready_hint` so the fast path cannot skip the warp. A `None` slot
-    /// means the block retired at the issue cycle (a last-instruction
-    /// load) — the stats are still credited, as serial does before
-    /// retirement bookkeeping.
-    // tbpoint-phase: coordinator
-    // tbpoint-hot
-    pub(crate) fn resolve_deferred_load<R: Recorder + ?Sized>(
-        &mut self,
-        slot: usize,
-        warp: usize,
-        done_at: u64,
-        issued_at: u64,
-        rec: &R,
-    ) {
-        self.stats.load_latency_sum += done_at - issued_at;
-        self.stats.loads_waited += 1;
-        rec.counter("load_wait_cycles", done_at - issued_at);
-        if let Some(b) = self.slots[slot].as_mut() {
-            let w = &mut b.warps[warp];
-            w.ready_at = done_at;
-            if !w.done {
-                self.ready_hint = self.ready_hint.min(done_at);
-            }
-        }
-    }
-
-    /// A lower bound on the earliest cycle (>= `from`) at which any
-    /// resident block could retire; `u64::MAX` when none are resident.
-    ///
-    /// Two bounds compose per block, and retirement happens at the issue
-    /// of the block's final instruction, so both are sound:
-    /// * the SM issues at most one instruction per cycle, so a block with
-    ///   `remaining` instructions left cannot see its last one issue
-    ///   before `from + remaining - 1`;
-    /// * every live warp must still issue its own tail: its last
-    ///   instruction lands no earlier than
-    ///   `max(from, ready_at) + warp_remaining - 1` (`ready_at` is a
-    ///   lower bound on availability even for warps parked at a barrier,
-    ///   whose release can only push it later).
-    ///
-    /// Must be called with no unresolved deferred loads (their
-    /// `ready_at == u64::MAX` sentinel would inflate the bound); the
-    /// coordinator computes it only after barrier resolution.
-    // tbpoint-hot
-    pub(crate) fn earliest_retire_bound(&self, from: u64) -> u64 {
-        let mut best = u64::MAX;
-        for blk in self.slots.iter().flatten() {
-            let mut bound = from.saturating_add(blk.remaining).saturating_sub(1);
-            for w in &blk.warps {
-                if w.done {
-                    continue;
-                }
-                let rem = u64::try_from(w.trace.len() - w.pc).unwrap_or(u64::MAX);
-                let avail = from.max(w.ready_at);
-                bound = bound.max(avail.saturating_add(rem).saturating_sub(1));
-            }
-            best = best.min(bound);
-        }
-        best
     }
 }

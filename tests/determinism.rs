@@ -63,7 +63,7 @@ fn tbpoint_is_worker_count_invariant() {
         &TbpointConfig::default(),
         &gpu,
         ExecPlan {
-            sim_jobs: 2,
+            sim_jobs: 1,
             pool_workers: 8,
         },
     )

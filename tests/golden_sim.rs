@@ -118,7 +118,6 @@ fn interning_and_event_horizon_are_bit_identical() {
             SimOptions {
                 intern_traces: false,
                 event_horizon: true,
-                jobs: 1,
             },
         ),
         (
@@ -126,7 +125,6 @@ fn interning_and_event_horizon_are_bit_identical() {
             SimOptions {
                 intern_traces: true,
                 event_horizon: false,
-                jobs: 1,
             },
         ),
         (
@@ -134,23 +132,6 @@ fn interning_and_event_horizon_are_bit_identical() {
             SimOptions {
                 intern_traces: false,
                 event_horizon: false,
-                jobs: 1,
-            },
-        ),
-        (
-            "parallel jobs=3",
-            SimOptions {
-                intern_traces: true,
-                event_horizon: true,
-                jobs: 3,
-            },
-        ),
-        (
-            "parallel jobs=4 cycle-stepped",
-            SimOptions {
-                intern_traces: true,
-                event_horizon: false,
-                jobs: 4,
             },
         ),
     ];
