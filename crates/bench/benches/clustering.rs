@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tbpoint_bench::blob_points;
-use tbpoint_cluster::{hierarchical_cluster, kmeans_best_bic, Linkage};
+use tbpoint_cluster::{hierarchical_cluster, kmeans_best_bic, Linkage, Point};
 
 fn bench_hierarchical(c: &mut Criterion) {
     let mut g = c.benchmark_group("clustering/hierarchical");
@@ -20,6 +20,22 @@ fn bench_hierarchical(c: &mut Criterion) {
             });
         });
     }
+    // Full-scale lbm's shape: 1,286 epochs that all normalise to one stall
+    // probability, so every point shares one nearest neighbour. The blob
+    // cases above never do, so they cannot see a merge loop that rescans
+    // every row pointing at a merged cluster, which goes cubic here.
+    let epochs: Vec<Point> = vec![vec![1.0]; 1286];
+    g.bench_with_input(
+        BenchmarkId::new("lbm_epochs", 1286),
+        &epochs,
+        |b, points| {
+            b.iter(|| {
+                let r = hierarchical_cluster(points, 0.2, Linkage::Complete);
+                assert_eq!(r.num_clusters, 1);
+                black_box(r)
+            });
+        },
+    );
     // Linkage comparison at one size.
     let points = blob_points(200, 4, 3, 42);
     for (label, linkage) in [

@@ -337,6 +337,17 @@ mod tests {
     }
 
     #[test]
+    fn thousands_of_identical_epochs_form_one_region() {
+        // Full-scale lbm's shape: ~1,300 epochs with one stall probability.
+        let lp = launch_profile(&[(100, 30); 1300 * 4]);
+        let epochs = build_epochs(&lp, 4);
+        assert_eq!(epochs.len(), 1300);
+        let table = identify_regions(&epochs, &IntraConfig::default());
+        assert_eq!(table.regions.len(), 1);
+        assert_eq!(table.covered_tbs(), 1300 * 4);
+    }
+
+    #[test]
     fn alternating_epochs_form_many_regions() {
         // Epochs alternate stall probability far apart -> every epoch is
         // its own region (consecutive epochs never share a cluster).
