@@ -20,11 +20,17 @@
 //!    every trip-count/condition dependence class, two (block, warp)
 //!    coordinates that map to the same `TraceKey` must produce equal
 //!    traces — the invariant the whole interner rests on.
+//!
+//! A second committed golden, `tests/goldens/pipeline_tiny.json`, pins
+//! the end-to-end [`tbpoint::core::TbpointResult`] of the paper-default
+//! two-phase pipeline and of the default live pipeline on every Tiny
+//! workload, so a pipeline refactor cannot drift silently either.
 
 mod common;
 
 use common::Gen;
-use tbpoint::emu::{trace_warp, TraceArena, TraceKey};
+use tbpoint::core::{run_tbpoint, run_tbpoint_live, SamplingMode, TbpointConfig};
+use tbpoint::emu::{profile_run, trace_warp, TraceArena, TraceKey};
 use tbpoint::ir::{Cond, Dist, ExecCtx, Kernel, KernelBuilder, LaunchId, Op, TripCount};
 use tbpoint::sim::{
     simulate_launch, simulate_launch_with_options, simulate_run, GpuConfig, NullSampling,
@@ -35,18 +41,21 @@ use tbpoint::workloads::{all_benchmarks, Scale};
 /// The committed pre-optimisation reference output.
 const GOLDEN: &str = include_str!("goldens/launch_sim_tiny.json");
 
-/// Extract the JSON object committed for one workload. The golden file
-/// is line-oriented (`"name": {...},` per workload) precisely so tests
+/// The committed end-to-end pipeline results (two-phase and live).
+const PIPELINE_GOLDEN: &str = include_str!("goldens/pipeline_tiny.json");
+
+/// Extract the JSON object committed for one workload. The golden files
+/// are line-oriented (`"name": {...},` per workload) precisely so tests
 /// and reviews can address one workload at a time.
-fn golden_entry(name: &str) -> &'static str {
+fn golden_entry(golden: &'static str, name: &str) -> &'static str {
     let prefix = format!("\"{name}\": ");
-    for line in GOLDEN.lines() {
+    for line in golden.lines() {
         if let Some(rest) = line.strip_prefix(&prefix) {
             return rest.strip_suffix(',').unwrap_or(rest);
         }
     }
     panic!(
-        "tests/goldens/launch_sim_tiny.json has no entry for `{name}`; \
+        "a golden file under tests/goldens/ has no entry for `{name}`; \
          regenerate with `cargo run --release --example gen_goldens`"
     );
 }
@@ -88,7 +97,9 @@ fn golden_covers_every_workload() {
     let names: Vec<&str> = all_benchmarks(Scale::Tiny).iter().map(|b| b.name).collect();
     assert_eq!(names.len(), 12, "Table VI roster is twelve benchmarks");
     for name in names {
-        golden_entry(name); // panics with a regeneration hint if absent
+        // Each lookup panics with a regeneration hint if absent.
+        golden_entry(GOLDEN, name);
+        golden_entry(PIPELINE_GOLDEN, name);
     }
 }
 
@@ -99,7 +110,35 @@ fn tiny_runs_match_committed_golden() {
     let cfg = GpuConfig::fermi();
     for bench in all_benchmarks(Scale::Tiny) {
         let r = simulate_run(&bench.run, &cfg, &mut NullSampling, None);
-        assert_same_json(bench.name, golden_entry(bench.name), &to_json(&r));
+        assert_same_json(bench.name, golden_entry(GOLDEN, bench.name), &to_json(&r));
+    }
+}
+
+/// The paper-default two-phase pipeline and the default live pipeline
+/// reproduce the committed `TbpointResult`s byte-for-byte on every Tiny
+/// workload (serial plan).
+#[test]
+fn tiny_pipelines_match_committed_golden() {
+    let gpu = GpuConfig::fermi();
+    let two_phase = TbpointConfig::default();
+    let live = TbpointConfig {
+        mode: SamplingMode::Live,
+        ..TbpointConfig::default()
+    };
+    for bench in all_benchmarks(Scale::Tiny) {
+        let profile = profile_run(&bench.run, 1);
+        let tp = run_tbpoint(&bench.run, &profile, &two_phase, &gpu).expect("two-phase runs");
+        let lv = run_tbpoint_live(&bench.run, &live, &gpu).expect("live runs");
+        let actual = format!(
+            "{{\"two_phase\":{},\"live\":{}}}",
+            to_json(&tp),
+            to_json(&lv)
+        );
+        assert_same_json(
+            bench.name,
+            golden_entry(PIPELINE_GOLDEN, bench.name),
+            &actual,
+        );
     }
 }
 
