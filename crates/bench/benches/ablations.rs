@@ -6,7 +6,8 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tbpoint_core::inter::{InterAlgo, InterConfig};
 use tbpoint_core::intra::{build_epochs, identify_regions, IntraConfig};
-use tbpoint_core::predict::{run_tbpoint, TbpointConfig};
+use tbpoint_core::predict::{run_tbpoint, TbpointConfig, TbpointResult};
+use tbpoint_core::ExecPlan;
 use tbpoint_emu::{profile_run, RunProfile};
 use tbpoint_ir::KernelRun;
 use tbpoint_sim::{GpuConfig, SchedPolicy};
@@ -16,6 +17,16 @@ fn fixture() -> (KernelRun, RunProfile, GpuConfig) {
     let bench = benchmark_by_name("spmv", Scale::Tiny).unwrap();
     let profile = profile_run(&bench.run, 1);
     (bench.run, profile, GpuConfig::fermi())
+}
+
+/// The two-phase pipeline, serial.
+fn pipeline(
+    run: &KernelRun,
+    profile: &RunProfile,
+    cfg: &TbpointConfig,
+    gpu: &GpuConfig,
+) -> TbpointResult {
+    run_tbpoint(run, Some(profile), cfg, gpu, ExecPlan::serial()).expect("valid")
 }
 
 /// Ablation 1: epoch size relative to system occupancy (the paper fixes
@@ -53,7 +64,7 @@ fn bench_inter_algo(c: &mut Criterion) {
             ..TbpointConfig::default()
         };
         g.bench_with_input(BenchmarkId::from_parameter(label), &cfg, |b, cfg| {
-            b.iter(|| black_box(run_tbpoint(&run, &profile, cfg, &gpu).expect("valid")));
+            b.iter(|| black_box(pipeline(&run, &profile, cfg, &gpu)));
         });
     }
     g.finish();
@@ -68,11 +79,7 @@ fn bench_scheduler(c: &mut Criterion) {
         let mut gpu = GpuConfig::fermi();
         gpu.sched = sched;
         g.bench_with_input(BenchmarkId::from_parameter(label), &gpu, |b, gpu| {
-            b.iter(|| {
-                black_box(
-                    run_tbpoint(&run, &profile, &TbpointConfig::default(), gpu).expect("valid"),
-                )
-            });
+            b.iter(|| black_box(pipeline(&run, &profile, &TbpointConfig::default(), gpu)));
         });
     }
     g.finish();
@@ -111,11 +118,7 @@ fn bench_hw_retarget(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("W{w}S{s}")),
             &gpu,
             |b, gpu| {
-                b.iter(|| {
-                    black_box(
-                        run_tbpoint(&run, &profile, &TbpointConfig::default(), gpu).expect("valid"),
-                    )
-                });
+                b.iter(|| black_box(pipeline(&run, &profile, &TbpointConfig::default(), gpu)));
             },
         );
     }

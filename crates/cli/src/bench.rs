@@ -23,7 +23,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-use tbpoint_core::{run_tbpoint_live_plan, run_tbpoint_plan, SamplingMode, TbpointConfig};
+use tbpoint_core::{run_tbpoint, SamplingMode, TbpointConfig};
 use tbpoint_pool::{map_indexed, ExecPlan};
 use tbpoint_sim::{simulate_launch_perf, GpuConfig, NullSampling, SimPerf};
 use tbpoint_workloads::{all_benchmarks, Scale};
@@ -318,11 +318,12 @@ pub fn measure(
             // times take the per-rep minimum like every other stage.
             let full_ipc = if cy > 0 { wi as f64 / cy as f64 } else { 0.0 };
             let t4 = Instant::now();
-            let tbp = run_tbpoint_plan(&bench.run, &profile, &tb_cfg, &cfg, ExecPlan::serial())
+            let serial = ExecPlan::serial();
+            let tbp = run_tbpoint(&bench.run, Some(&profile), &tb_cfg, &cfg, serial)
                 .expect("two-phase pipeline rejected");
             let two_ms = t4.elapsed().as_secs_f64() * 1e3;
             let t5 = Instant::now();
-            let live = run_tbpoint_live_plan(&bench.run, &live_cfg, &cfg, ExecPlan::serial())
+            let live = run_tbpoint(&bench.run, None, &live_cfg, &cfg, serial)
                 .expect("live pipeline rejected");
             let live_ms = t5.elapsed().as_secs_f64() * 1e3;
             two_err = tbp.error_vs(full_ipc);

@@ -7,10 +7,7 @@ use crate::output::{self, TraceEntry};
 use serde::{Deserialize, Serialize};
 use tbpoint_core::inter::{InterAlgo, InterConfig};
 use tbpoint_core::intra::IntraConfig;
-use tbpoint_core::predict::{
-    run_tbpoint_live_plan, run_tbpoint_live_traced_plan, run_tbpoint_plan, run_tbpoint_traced_plan,
-    SamplingMode, TbpointConfig,
-};
+use tbpoint_core::predict::{run_tbpoint, run_tbpoint_traced, SamplingMode, TbpointConfig};
 use tbpoint_emu::profile_run;
 use tbpoint_pool::{map_indexed, ExecPlan};
 use tbpoint_sim::{simulate_run, GpuConfig, NullSampling};
@@ -67,17 +64,11 @@ fn score(cfg: &TbpointConfig, scale: Scale, plan: ExecPlan) -> (f64, f64) {
     let scored = map_indexed(plan.pool_workers, benches.len(), |i| {
         let bench = &benches[i];
         let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
+        let profile = (cfg.mode == SamplingMode::TwoPhase).then(|| profile_run(&bench.run, 1));
         // Every swept value is a valid setting and the profile matches
         // the run, so failure is unreachable.
-        let tbp = match cfg.mode {
-            SamplingMode::Live => run_tbpoint_live_plan(&bench.run, cfg, &gpu, unit_plan)
-                .expect("TBPoint pipeline rejected"),
-            SamplingMode::TwoPhase => {
-                let profile = profile_run(&bench.run, 1);
-                run_tbpoint_plan(&bench.run, &profile, cfg, &gpu, unit_plan)
-                    .expect("TBPoint pipeline rejected")
-            }
-        };
+        let tbp = run_tbpoint(&bench.run, profile.as_ref(), cfg, &gpu, unit_plan)
+            .expect("TBPoint pipeline rejected");
         (
             tbp.error_vs(full.overall_ipc()).max(0.05),
             tbp.sample_size(),
@@ -107,15 +98,9 @@ pub fn ablate_traced(
     };
     let mut entries = Vec::new();
     for bench in all_benchmarks(scale) {
-        let (_, traces) = match mode {
-            SamplingMode::Live => run_tbpoint_live_traced_plan(&bench.run, &cfg, &gpu, plan)
-                .expect("TBPoint pipeline rejected"),
-            SamplingMode::TwoPhase => {
-                let profile = profile_run(&bench.run, 1);
-                run_tbpoint_traced_plan(&bench.run, &profile, &cfg, &gpu, plan)
-                    .expect("TBPoint pipeline rejected")
-            }
-        };
+        let profile = (mode == SamplingMode::TwoPhase).then(|| profile_run(&bench.run, 1));
+        let (_, traces) = run_tbpoint_traced(&bench.run, profile.as_ref(), &cfg, &gpu, plan)
+            .expect("TBPoint pipeline rejected");
         entries.extend(traces.into_iter().map(|t| TraceEntry {
             label: format!("default/{}", bench.name),
             launch: t.launch,

@@ -18,8 +18,7 @@ use tbpoint_baselines::{
     RandomConfig, SystematicConfig,
 };
 use tbpoint_core::predict::{
-    run_tbpoint_live_plan, run_tbpoint_live_traced_plan, run_tbpoint_plan, run_tbpoint_traced_plan,
-    SamplingMode, TbpointConfig, TbpointResult,
+    run_tbpoint, run_tbpoint_traced, SamplingMode, TbpointConfig, TbpointResult,
 };
 use tbpoint_core::TbError;
 use tbpoint_emu::profile_run;
@@ -138,7 +137,7 @@ fn build_bench_eval(
     bench: &Benchmark,
     cfg: &EvalConfig,
     gpu: &GpuConfig,
-    tbp: impl FnOnce(&tbpoint_emu::RunProfile) -> Result<TbpointResult, TbError>,
+    tbp: impl FnOnce(Option<&tbpoint_emu::RunProfile>) -> Result<TbpointResult, TbError>,
 ) -> Result<BenchEval, TbError> {
     // One-time hardware-independent profile (the GPUOcelot step).
     let profile = profile_run(&bench.run, 1);
@@ -154,7 +153,10 @@ fn build_bench_eval(
     let rnd = random_sampling(&units, &RandomConfig::default());
     let sys = systematic_sampling(&units, &SystematicConfig::default());
     let ideal = ideal_simpoint(&units, &IdealSimpointConfig::default());
-    let tbp = tbp(&profile)?;
+    // Live mode never consumes the profile — the online detector learns
+    // everything from the retire stream. It is still collected above
+    // because the baselines and the unit-size choice need the totals.
+    let tbp = tbp((cfg.tbpoint.mode == SamplingMode::TwoPhase).then_some(&profile))?;
 
     Ok(BenchEval {
         name: bench.name.to_string(),
@@ -198,13 +200,8 @@ pub fn eval_bench(
     gpu: &GpuConfig,
     plan: ExecPlan,
 ) -> Result<BenchEval, TbError> {
-    build_bench_eval(bench, cfg, gpu, |profile| match cfg.tbpoint.mode {
-        // Live mode never consumes the profile — the online detector
-        // learns everything from the retire stream. The profile is
-        // still collected above because the baseline approaches and
-        // the unit-size choice need the instruction totals.
-        SamplingMode::Live => run_tbpoint_live_plan(&bench.run, &cfg.tbpoint, gpu, plan),
-        SamplingMode::TwoPhase => run_tbpoint_plan(&bench.run, profile, &cfg.tbpoint, gpu, plan),
+    build_bench_eval(bench, cfg, gpu, |profile| {
+        run_tbpoint(&bench.run, profile, &cfg.tbpoint, gpu, plan)
     })
 }
 
@@ -242,14 +239,7 @@ fn eval_one_traced(
 ) -> Result<(BenchEval, Vec<TraceEntry>), TbError> {
     let mut entries = Vec::new();
     let b = build_bench_eval(bench, cfg, gpu, |profile| {
-        let (tbp, traces) = match cfg.tbpoint.mode {
-            SamplingMode::Live => {
-                run_tbpoint_live_traced_plan(&bench.run, &cfg.tbpoint, gpu, plan)?
-            }
-            SamplingMode::TwoPhase => {
-                run_tbpoint_traced_plan(&bench.run, profile, &cfg.tbpoint, gpu, plan)?
-            }
-        };
+        let (tbp, traces) = run_tbpoint_traced(&bench.run, profile, &cfg.tbpoint, gpu, plan)?;
         entries = traces
             .into_iter()
             .map(|t| TraceEntry {

@@ -11,10 +11,7 @@
 
 use crate::output::{self, TraceEntry};
 use serde::{Deserialize, Serialize};
-use tbpoint_core::predict::{
-    run_tbpoint_live_plan, run_tbpoint_live_traced_plan, run_tbpoint_plan, run_tbpoint_traced_plan,
-    SamplingMode, TbpointConfig,
-};
+use tbpoint_core::predict::{run_tbpoint, run_tbpoint_traced, SamplingMode, TbpointConfig};
 use tbpoint_core::TbError;
 use tbpoint_emu::profile_run;
 use tbpoint_pool::{run_indexed, ExecPlan, SweepUnit};
@@ -107,19 +104,13 @@ pub fn sensitivity_bench(
 ) -> Result<Vec<SensitivityCell>, TbError> {
     // Live mode has no profiling step at all — each configuration's
     // single timing pass is the whole pipeline.
-    let profile = match tb_cfg.mode {
-        SamplingMode::TwoPhase => Some(profile_run(&bench.run, 1)),
-        SamplingMode::Live => None,
-    };
+    let profile = (tb_cfg.mode == SamplingMode::TwoPhase).then(|| profile_run(&bench.run, 1));
     CONFIGS
         .iter()
         .map(|&(w, s)| {
             let gpu = GpuConfig::with_occupancy(w, s);
             let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
-            let tbp = match &profile {
-                Some(p) => run_tbpoint_plan(&bench.run, p, tb_cfg, &gpu, plan)?,
-                None => run_tbpoint_live_plan(&bench.run, tb_cfg, &gpu, plan)?,
-            };
+            let tbp = run_tbpoint(&bench.run, profile.as_ref(), tb_cfg, &gpu, plan)?;
             Ok(SensitivityCell {
                 bench: bench.name.to_string(),
                 warps: w,
@@ -190,24 +181,16 @@ pub fn sensitivity_traced(
     tb_cfg: &TbpointConfig,
     plan: ExecPlan,
 ) -> Result<(SensitivityResult, Vec<TraceEntry>), TbError> {
-    let benches = all_benchmarks(scale);
-    let profiles: Vec<_> = match tb_cfg.mode {
-        SamplingMode::TwoPhase => benches
-            .iter()
-            .map(|b| Some(profile_run(&b.run, threads)))
-            .collect(),
-        SamplingMode::Live => benches.iter().map(|_| None).collect(),
-    };
     let mut cells = Vec::new();
     let mut entries = Vec::new();
-    for (bi, bench) in benches.iter().enumerate() {
+    for bench in all_benchmarks(scale) {
+        let profile =
+            (tb_cfg.mode == SamplingMode::TwoPhase).then(|| profile_run(&bench.run, threads));
         for (w, s) in CONFIGS {
             let gpu = GpuConfig::with_occupancy(w, s);
             let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
-            let (tbp, traces) = match &profiles[bi] {
-                Some(p) => run_tbpoint_traced_plan(&bench.run, p, tb_cfg, &gpu, plan)?,
-                None => run_tbpoint_live_traced_plan(&bench.run, tb_cfg, &gpu, plan)?,
-            };
+            let (tbp, traces) =
+                run_tbpoint_traced(&bench.run, profile.as_ref(), tb_cfg, &gpu, plan)?;
             entries.extend(traces.into_iter().map(|t| TraceEntry {
                 label: format!("{}@W{w}S{s}", bench.name),
                 launch: t.launch,

@@ -37,11 +37,13 @@
 //! * [`sampling::live`] — **live single-pass sampling**: the same
 //!   epoch/cluster/region structure detected *online* from the
 //!   simulator's retire-time feature stream, with no profiling pass
-//!   ([`run_tbpoint_live`], `TbpointConfig::mode = Live`).
+//!   (`TbpointConfig::mode = Live`).
 //!
-//! Entry points return [`TbError`] on invalid configs or mismatched
-//! profiles; samplers are built with [`RegionSamplerBuilder`] and report
-//! into a [`tbpoint_obs::Recorder`].
+//! One entry point, [`run_tbpoint`] (and its tracing twin
+//! [`run_tbpoint_traced`]), runs whichever mode the config selects and
+//! returns [`TbError`] on invalid configs or mismatched profiles;
+//! samplers are built with [`RegionSamplerBuilder`] and report into a
+//! [`tbpoint_obs::Recorder`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,10 +58,11 @@ pub use error::TbError;
 pub use inter::{inter_launch_sample, InterConfig, InterResult};
 pub use intra::{build_epochs, identify_regions, Epoch, IntraConfig, Region, RegionTable};
 pub use predict::{
-    run_tbpoint, run_tbpoint_live, run_tbpoint_live_plan, run_tbpoint_live_traced,
-    run_tbpoint_live_traced_plan, run_tbpoint_plan, run_tbpoint_traced, run_tbpoint_traced_plan,
-    LaunchTrace, SamplingMode, SavingsBreakdown, TbpointConfig, TbpointResult,
+    run_tbpoint, run_tbpoint_traced, LaunchTrace, SamplingMode, SavingsBreakdown, TbpointConfig,
+    TbpointResult,
 };
+#[doc(hidden)]
+pub use predict::{run_tbpoint_live_plan, run_tbpoint_plan};
 pub use sampling::live::{LiveOutcome, LiveSampler, LiveSamplerBuilder};
 pub use sampling::{IntraOutcome, RegionSampler, RegionSamplerBuilder};
 pub use tbpoint_pool::ExecPlan;

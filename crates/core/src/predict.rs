@@ -17,10 +17,13 @@
 //! between the two techniques. Inter- and intra-launch sampling are
 //! orthogonal (the paper's Table IV note); the config can disable either.
 //!
-//! [`run_tbpoint`] validates its configuration and returns
-//! `Result<TbpointResult, TbError>`; [`run_tbpoint_traced`] additionally
-//! captures a per-simulated-launch [`TraceBundle`] of observability
-//! events without perturbing the result.
+//! [`run_tbpoint`] is the one entry point for both sampling modes: it
+//! runs the pipeline `TbpointConfig::mode` selects, validates its inputs
+//! and returns `Result<TbpointResult, TbError>`. [`run_tbpoint_traced`]
+//! additionally captures a per-simulated-launch [`TraceBundle`] of
+//! observability events without perturbing the result. The modes differ
+//! only in where instruction counts and launch clusters come from: the
+//! profile (two-phase) or the simulation itself (live).
 
 use crate::error::{invalid, TbError};
 use crate::inter::{inter_launch_sample, InterConfig, InterResult};
@@ -81,10 +84,10 @@ pub struct TbpointConfig {
     /// dispatching blocks past this many cycles is drained and reported
     /// as [`TbError::BudgetExceeded`] (`None` = no watchdog).
     pub cycle_budget: Option<u64>,
-    /// Which pipeline to run ([`SamplingMode::TwoPhase`] by default).
-    /// Callers branch on it to pick between the [`run_tbpoint`] and
-    /// [`run_tbpoint_live`] families; each family rejects a config set
-    /// to the other mode with [`TbError::InvalidConfig`] naming `mode`.
+    /// Which pipeline [`run_tbpoint`] runs ([`SamplingMode::TwoPhase`] by
+    /// default). Two-phase needs the run's profile and live takes none;
+    /// a call that gets this wrong fails with [`TbError::InvalidConfig`]
+    /// naming `mode`.
     pub mode: SamplingMode,
     /// Live mode: consecutive same-cluster epochs required before
     /// warming starts. Must be at least 1.
@@ -130,8 +133,8 @@ impl TbpointConfig {
     /// non-positive, the variation factor is negative, the warming
     /// threshold is non-finite or non-positive, `unit_tb_span` is zero,
     /// or `warming_window` is below 2. Parallelism lives outside this
-    /// config — see [`tbpoint_pool::ExecPlan`] and [`run_tbpoint_plan`]
-    /// — because results are bit-identical at any worker count, so the
+    /// config — see [`tbpoint_pool::ExecPlan`] and [`run_tbpoint`] —
+    /// because results are bit-identical at any worker count, so the
     /// worker count is an execution concern, not a result-affecting one.
     pub fn validate(&self) -> Result<(), TbError> {
         self.inter.validate()?;
@@ -285,6 +288,17 @@ pub struct LaunchTrace {
     pub trace: TraceBundle,
 }
 
+/// Where a run's instruction counts and launch clusters come from: the
+/// one thing the two sampling modes do not share.
+#[derive(Debug, Clone, Copy)]
+enum Source<'a> {
+    /// Two-phase: the one-time profile of every launch.
+    Profile(&'a RunProfile),
+    /// Live: only the timing simulation itself. `block_invariant` lets
+    /// the live sampler credit skipped blocks with an exact count.
+    Live { block_invariant: bool },
+}
+
 /// What simulating one representative produced.
 #[derive(Debug, Clone, Copy)]
 struct RepSim {
@@ -296,28 +310,100 @@ struct RepSim {
     degraded: bool,
 }
 
-fn check_profile(run: &KernelRun, profile: &RunProfile) -> Result<(), TbError> {
-    if run.launches.len() == profile.launches.len() {
-        Ok(())
-    } else {
-        Err(TbError::ProfileMismatch {
-            run_launches: run.launches.len(),
-            profile_launches: profile.launches.len(),
-        })
+/// Validate everything a pipeline call depends on: `cfg` itself, that
+/// `cfg.mode` matches whether a profile was given, the profile's launch
+/// count, and the [`ExecPlan`] (whose `sim_jobs` compatibility field
+/// must be 1). Returns the run's [`Source`] and the normalized plan.
+fn validate_call<'a>(
+    run: &KernelRun,
+    profile: Option<&'a RunProfile>,
+    cfg: &TbpointConfig,
+    plan: ExecPlan,
+) -> Result<(Source<'a>, ExecPlan), TbError> {
+    cfg.validate()?;
+    let source = match (cfg.mode, profile) {
+        (SamplingMode::TwoPhase, Some(profile)) => Source::Profile(profile),
+        (SamplingMode::Live, None) => Source::Live {
+            block_invariant: {
+                let deps = TraceDeps::of(&run.kernel);
+                !deps.per_thread && !deps.per_block
+            },
+        },
+        (SamplingMode::TwoPhase, None) => {
+            return Err(invalid(
+                "mode",
+                "is TwoPhase, which needs a profile (got none)",
+            ));
+        }
+        (SamplingMode::Live, Some(_)) => {
+            return Err(invalid("mode", "is Live, which takes no profile (got one)"));
+        }
+    };
+    let plan = plan.normalized();
+    if plan.sim_jobs != 1 {
+        return Err(invalid(
+            "sim_jobs",
+            format!(
+                "must be 1 (got {}): each launch's cycle loop is serial; \
+                 parallelism comes from pool_workers",
+                plan.sim_jobs
+            ),
+        ));
     }
+    if let Some(profile) = profile {
+        if run.launches.len() != profile.launches.len() {
+            return Err(TbError::ProfileMismatch {
+                run_launches: run.launches.len(),
+                profile_launches: profile.launches.len(),
+            });
+        }
+    }
+    Ok((source, plan))
 }
 
-/// Step 1: pick the launches to simulate.
-fn pick_launches(profile: &RunProfile, cfg: &TbpointConfig, n_launches: usize) -> InterResult {
-    if cfg.inter_enabled {
-        inter_launch_sample(profile, &cfg.inter)
-    } else {
-        // Every launch is its own cluster: all are simulated.
-        InterResult {
-            clustering: Clustering::from_assignments(&(0..n_launches).collect::<Vec<_>>()),
-            representatives: (0..n_launches).collect(),
+/// Step 1: pick the launches to simulate, one representative per
+/// cluster (every launch is its own cluster when inter-launch sampling
+/// is off).
+///
+/// Two-phase clusters the profile's Eq. 2 feature vectors. Live mode has
+/// no profile, so it groups launches by their *specs*: equal
+/// `(num_blocks, work_scale)` is taken to mean equal work, and the first
+/// launch of each class represents it. That holds exactly only for
+/// launch-invariant kernels: `PerBlock`/`PerThread` trip counts hash the
+/// launch id, so merged launches of such kernels differ slightly and a
+/// live `total_warp_insts` is then an estimate (Dev-scale bfs, sssp, mst
+/// and spmv read 0.9974–1.0023x the profiled count). Pac-Sim-style
+/// online signatures are the intended profile-free replacement.
+fn pick_launches(run: &KernelRun, source: Source, cfg: &TbpointConfig) -> InterResult {
+    let n = run.launches.len();
+    if !cfg.inter_enabled {
+        return InterResult {
+            clustering: Clustering::from_assignments(&(0..n).collect::<Vec<_>>()),
+            representatives: (0..n).collect(),
             features: vec![],
+        };
+    }
+    if let Source::Profile(profile) = source {
+        return inter_launch_sample(profile, &cfg.inter);
+    }
+    let mut keys: Vec<(u32, u64)> = Vec::new();
+    let mut assignments = Vec::with_capacity(n);
+    let mut representatives = Vec::new();
+    for (i, spec) in run.launches.iter().enumerate() {
+        let key = (spec.num_blocks, spec.work_scale.to_bits());
+        match keys.iter().position(|k| *k == key) {
+            Some(c) => assignments.push(c),
+            None => {
+                assignments.push(keys.len());
+                representatives.push(i);
+                keys.push(key);
+            }
         }
+    }
+    InterResult {
+        clustering: Clustering::from_assignments(&assignments),
+        representatives,
+        features: vec![],
     }
 }
 
@@ -349,43 +435,6 @@ fn validate_launch_profile(spec: &LaunchSpec, lp: &LaunchProfile) -> Result<(), 
     Ok(())
 }
 
-/// Validate the inputs every pipeline entry point shares: `cfg` itself,
-/// its `mode` against the family being called, and the [`ExecPlan`]
-/// (whose `sim_jobs` compatibility field must be 1). Returns the
-/// normalized plan.
-fn validate_call(
-    cfg: &TbpointConfig,
-    family: SamplingMode,
-    plan: ExecPlan,
-) -> Result<ExecPlan, TbError> {
-    cfg.validate()?;
-    if cfg.mode != family {
-        let entry = match family {
-            SamplingMode::TwoPhase => "run_tbpoint",
-            SamplingMode::Live => "run_tbpoint_live",
-        };
-        return Err(invalid(
-            "mode",
-            format!(
-                "is {:?}, but the {entry} family runs only {family:?} configs",
-                cfg.mode
-            ),
-        ));
-    }
-    let plan = plan.normalized();
-    if plan.sim_jobs != 1 {
-        return Err(invalid(
-            "sim_jobs",
-            format!(
-                "must be 1 (got {}): each launch's cycle loop is serial; \
-                 parallelism comes from pool_workers",
-                plan.sim_jobs
-            ),
-        ));
-    }
-    Ok(plan)
-}
-
 /// Run one launch simulation under the optional cycle-budget watchdog.
 fn simulate_guarded<R: Recorder>(
     run: &KernelRun,
@@ -414,20 +463,23 @@ fn simulate_guarded<R: Recorder>(
 }
 
 /// Step 2 for one representative: simulate it with intra-launch sampling
-/// (when enabled), reporting into `rec`. Monomorphised over the recorder,
-/// so the untraced pipeline keeps its zero-instrumentation fast path.
+/// (when enabled), reporting into `rec`. The sampler is the
+/// profile-driven [`RegionSampler`] or the online [`LiveSampler`];
+/// everything else is shared. Monomorphised over the recorder, so the
+/// untraced pipeline keeps its zero-instrumentation fast path.
 ///
-/// Degradation ladder: a representative whose profile fails validation
-/// is simulated in full and its IPC taken from the simulator (the
-/// profile's instruction counts are untrustworthy); a region whose
-/// warming budget runs out falls back to detailed simulation inside the
-/// sampler. Both paths emit `DegradedMode` and mark the rep degraded. A
-/// launch that overruns `cfg.cycle_budget` is the one unrecoverable
-/// case: its numbers are garbage, so it surfaces as
-/// [`TbError::BudgetExceeded`].
+/// The launch's instruction count is the profile's when it can be
+/// trusted, otherwise what the simulator issued plus the sampler's skip
+/// estimate. Degradation ladder: a representative whose profile fails
+/// validation is simulated in full and its IPC taken from the simulator;
+/// a region whose warming budget runs out falls back to detailed
+/// simulation inside the sampler. Both paths emit `DegradedMode` and
+/// mark the rep degraded. A launch that overruns `cfg.cycle_budget` is
+/// the one unrecoverable case: its numbers are garbage, so it surfaces
+/// as [`TbError::BudgetExceeded`].
 fn simulate_rep<R: Recorder>(
     run: &KernelRun,
-    profile: &RunProfile,
+    source: Source,
     cfg: &TbpointConfig,
     gpu: &GpuConfig,
     occupancy: u32,
@@ -435,69 +487,84 @@ fn simulate_rep<R: Recorder>(
     rec: &R,
 ) -> Result<RepSim, TbError> {
     let spec = &run.launches[rep];
-    let launch_profile = &profile.launches[rep];
+    let profile_invalid = match source {
+        Source::Profile(profile) => validate_launch_profile(spec, &profile.launches[rep]).is_err(),
+        Source::Live { .. } => false,
+    };
+    if profile_invalid {
+        rec.record(
+            0,
+            EventKind::DegradedMode {
+                reason: DegradeReason::ProfileInvalid,
+            },
+        );
+    }
 
-    let profile_ok = match validate_launch_profile(spec, launch_profile) {
-        Ok(()) => true,
-        Err(_) => {
-            rec.record(
-                0,
-                EventKind::DegradedMode {
-                    reason: DegradeReason::ProfileInvalid,
-                },
-            );
-            false
+    // (simulation, skipped insts, their predicted cycles, sampler degraded)
+    let (r, skipped, skipped_cycles, sampler_degraded) = match source {
+        _ if !cfg.intra_enabled || profile_invalid => {
+            let r = simulate_guarded(
+                run,
+                spec,
+                gpu,
+                &mut NullSampling,
+                cfg.cycle_budget,
+                rep,
+                rec,
+            )?;
+            (r, 0, 0.0, false)
+        }
+        Source::Profile(profile) => {
+            let lp = &profile.launches[rep];
+            let epochs = build_epochs(lp, occupancy);
+            let table = identify_regions(&epochs, &cfg.intra);
+            let mut sampler = RegionSampler::builder(&table, lp)
+                .threshold(cfg.warming_threshold)
+                .unit_tb_span(cfg.unit_tb_span)
+                .warming_window(cfg.warming_window)
+                .warming_budget(cfg.warming_budget)
+                .recorder(rec)
+                .build()?;
+            let r = simulate_guarded(run, spec, gpu, &mut sampler, cfg.cycle_budget, rep, rec)?;
+            let o = sampler.outcome();
+            let degraded = o.degraded_regions > 0;
+            (
+                r,
+                o.skipped_warp_insts,
+                o.predicted_skipped_cycles,
+                degraded,
+            )
+        }
+        Source::Live { block_invariant } => {
+            let mut sampler = LiveSampler::builder(spec.num_blocks, occupancy)
+                .block_invariant(block_invariant)
+                .sigma(cfg.intra.sigma)
+                .threshold(cfg.warming_threshold)
+                .unit_tb_span(cfg.unit_tb_span)
+                .warming_window(cfg.warming_window)
+                .warming_budget(cfg.warming_budget)
+                .min_run(cfg.live_min_run)
+                .guard_period(cfg.live_guard_period)
+                .destab_tolerance(cfg.live_destab_tolerance)
+                .recorder(rec)
+                .build()?;
+            let r = simulate_guarded(run, spec, gpu, &mut sampler, cfg.cycle_budget, rep, rec)?;
+            let o = sampler.outcome();
+            let degraded = o.degraded_regions > 0;
+            (
+                r,
+                o.skipped_warp_insts,
+                o.predicted_skipped_cycles,
+                degraded,
+            )
         }
     };
 
-    if profile_ok && cfg.intra_enabled {
-        let epochs = build_epochs(launch_profile, occupancy);
-        let table = identify_regions(&epochs, &cfg.intra);
-        let mut sampler = RegionSampler::builder(&table, launch_profile)
-            .threshold(cfg.warming_threshold)
-            .unit_tb_span(cfg.unit_tb_span)
-            .warming_window(cfg.warming_window)
-            .warming_budget(cfg.warming_budget)
-            .recorder(rec)
-            .build()?;
-        let r = simulate_guarded(run, spec, gpu, &mut sampler, cfg.cycle_budget, rep, rec)?;
-        let o = sampler.outcome();
-        let launch_insts = launch_profile.warp_insts();
-        let predicted_cycles = r.cycles as f64 + o.predicted_skipped_cycles;
-        let predicted_ipc = if predicted_cycles > 0.0 {
-            launch_insts as f64 / predicted_cycles
-        } else {
-            0.0
-        };
-        return Ok(RepSim {
-            issued: r.issued_warp_insts,
-            skipped_insts: o.skipped_warp_insts,
-            sim_cycles: r.cycles,
-            predicted_cycles,
-            predicted_ipc,
-            degraded: o.degraded_regions > 0,
-        });
-    }
-
-    // Detailed simulation: either intra-launch sampling is disabled, or
-    // the profile cannot be trusted (degraded). In the degraded case the
-    // launch's instruction count comes from the simulator, not the
-    // corrupt profile.
-    let r = simulate_guarded(
-        run,
-        spec,
-        gpu,
-        &mut NullSampling,
-        cfg.cycle_budget,
-        rep,
-        rec,
-    )?;
-    let launch_insts = if profile_ok {
-        launch_profile.warp_insts()
-    } else {
-        r.issued_warp_insts
+    let launch_insts = match source {
+        Source::Profile(profile) if !profile_invalid => profile.launches[rep].warp_insts(),
+        _ => r.issued_warp_insts + skipped,
     };
-    let predicted_cycles = r.cycles as f64;
+    let predicted_cycles = r.cycles as f64 + skipped_cycles;
     let predicted_ipc = if predicted_cycles > 0.0 {
         launch_insts as f64 / predicted_cycles
     } else {
@@ -505,24 +572,28 @@ fn simulate_rep<R: Recorder>(
     };
     Ok(RepSim {
         issued: r.issued_warp_insts,
-        skipped_insts: 0,
+        skipped_insts: skipped,
         sim_cycles: r.cycles,
         predicted_cycles,
         predicted_ipc,
-        degraded: !profile_ok,
+        degraded: profile_invalid || sampler_degraded,
     })
 }
 
 /// Steps 3-4: extend representatives to their clusters and aggregate.
+///
+/// A launch's instruction count comes from the profile in two-phase
+/// mode. Live mode has none, so a launch is credited with its class
+/// representative's estimated total (issued + estimated skipped); see
+/// [`pick_launches`] for when that is exact.
 fn aggregate(
     run: &KernelRun,
-    profile: &RunProfile,
+    source: Source,
     inter: InterResult,
     rep_results: &[RepSim],
 ) -> TbpointResult {
     let n_launches = run.launches.len();
-    // rep_outcome[launch] = Some((predicted_cycles, predicted_ipc)).
-    let mut rep_outcome: Vec<Option<(f64, f64)>> = vec![None; n_launches];
+    let mut rep_outcome: Vec<Option<&RepSim>> = vec![None; n_launches];
     let mut simulated_warp_insts = 0u64;
     let mut intra_skipped = 0u64;
     let mut degraded_launches = 0usize;
@@ -532,19 +603,28 @@ fn aggregate(
         if r.degraded {
             degraded_launches += 1;
         }
-        rep_outcome[rep] = Some((r.predicted_cycles, r.predicted_ipc));
+        rep_outcome[rep] = Some(r);
     }
 
     let mut per_launch_predicted_cycles = Vec::with_capacity(n_launches);
     let mut inter_skipped = 0u64;
     let mut total_insts = 0u64;
     for i in 0..n_launches {
-        let launch_insts = profile.launches[i].warp_insts();
-        total_insts += launch_insts;
         let rep = inter.representatives[inter.clustering.assignments[i]];
         // Filled for every representative by the loop above; the
         // fallback only guards an impossible index.
-        let (rep_cycles, rep_ipc) = rep_outcome[rep].unwrap_or((0.0, 0.0));
+        let (rep_cycles, rep_ipc, rep_insts) = rep_outcome[rep].map_or((0.0, 0.0, 0), |r| {
+            (
+                r.predicted_cycles,
+                r.predicted_ipc,
+                r.issued + r.skipped_insts,
+            )
+        });
+        let launch_insts = match source {
+            Source::Profile(profile) => profile.launches[i].warp_insts(),
+            Source::Live { .. } => rep_insts,
+        };
+        total_insts += launch_insts;
         if i == rep {
             per_launch_predicted_cycles.push(rep_cycles);
         } else {
@@ -582,42 +662,113 @@ fn aggregate(
     }
 }
 
-/// Run the full TBPoint pipeline for one benchmark.
+/// The pipeline body behind [`run_tbpoint`] and [`run_tbpoint_traced`]:
+/// every representative gets its own `R`, created inside its pool job
+/// and wrapped in a [`Span::SimulateLaunch`] span, and is returned with
+/// its launch index in canonical representative order. `NullRecorder`
+/// compiles the instrumentation away.
+fn run_pipeline<R: Recorder + Default + Send>(
+    run: &KernelRun,
+    profile: Option<&RunProfile>,
+    cfg: &TbpointConfig,
+    gpu: &GpuConfig,
+    plan: ExecPlan,
+) -> Result<(TbpointResult, Vec<(usize, R)>), TbError> {
+    let (source, plan) = validate_call(run, profile, cfg, plan)?;
+    let inter = pick_launches(run, source, cfg);
+    let occupancy = gpu.system_occupancy(&run.kernel);
+
+    // Step 2: simulate each representative, scheduled as whole launches
+    // across the pool.
+    let reps = &inter.representatives;
+    let outcomes = run_indexed(plan.pool_workers, reps.len(), |i| {
+        let rep = reps[i];
+        let rec = R::default();
+        let span = Span::SimulateLaunch {
+            launch: run.launches[rep].launch_id.0,
+        };
+        rec.span_start(0, span);
+        let r = simulate_rep(run, source, cfg, gpu, occupancy, rep, &rec)?;
+        rec.span_end(r.sim_cycles, span);
+        Ok((r, rec))
+    })
+    .map_err(|(_, e): (usize, TbError)| e)?;
+
+    let (rep_results, recs): (Vec<RepSim>, Vec<R>) = outcomes.into_iter().unzip();
+    let recs = reps.iter().copied().zip(recs).collect();
+    Ok((aggregate(run, source, inter, &rep_results), recs))
+}
+
+/// Run the TBPoint pipeline for one benchmark in the mode `cfg.mode`
+/// selects.
 ///
-/// `profile` must be the one-time profile of `run` (from
-/// [`tbpoint_emu::profile_run`]); `gpu` is the simulated configuration —
-/// changing it only re-runs clustering and simulation, never profiling.
+/// * [`SamplingMode::TwoPhase`] needs `profile`: the one-time profile of
+///   `run` (from [`tbpoint_emu::profile_run`]). Changing `gpu` only
+///   re-runs clustering and simulation, never profiling.
+/// * [`SamplingMode::Live`] takes no profile: epoch detection,
+///   clustering and fast-forwarding all happen online inside the one
+///   timing simulation (see [`crate::sampling::live::LiveSampler`]).
+///
+/// Representatives fan out across `plan.pool_workers` threads of the
+/// deterministic job pool (whole launches are the unit of scheduling).
+/// Results land in per-representative slots and are merged in canonical
+/// representative order, so the [`TbpointResult`] is bit-identical to
+/// serial at every worker count.
 ///
 /// # Errors
 ///
 /// [`TbError::InvalidConfig`] when [`TbpointConfig::validate`] rejects
-/// `cfg` or `cfg.mode` is not [`SamplingMode::TwoPhase`];
-/// [`TbError::ProfileMismatch`] when the profile's launch count differs
-/// from the run's.
+/// `cfg`, naming `mode` when a two-phase call has no profile or a live
+/// call has one, and naming `sim_jobs` when `plan.sim_jobs` is neither 0
+/// nor 1; [`TbError::ProfileMismatch`] when the profile's launch count
+/// differs from the run's; [`TbError::BudgetExceeded`] when a
+/// representative overruns `cfg.cycle_budget`. A failing representative
+/// reports the error with the lowest recorded representative index.
 pub fn run_tbpoint(
     run: &KernelRun,
-    profile: &RunProfile,
+    profile: Option<&RunProfile>,
     cfg: &TbpointConfig,
     gpu: &GpuConfig,
+    plan: ExecPlan,
 ) -> Result<TbpointResult, TbError> {
-    run_tbpoint_plan(run, profile, cfg, gpu, ExecPlan::serial())
+    run_pipeline::<NullRecorder>(run, profile, cfg, gpu, plan).map(|(result, _)| result)
 }
 
-/// [`run_tbpoint`] under an explicit [`ExecPlan`].
+/// [`run_tbpoint`] with per-launch observability traces.
 ///
-/// Step 2 fans the representatives out across `plan.pool_workers`
-/// threads of the deterministic job pool (whole launches are the unit
-/// of scheduling). Results land in per-representative slots and are
-/// merged in canonical representative order, so the [`TbpointResult`]
-/// is bit-identical to serial at every worker count (the golden
-/// determinism suite asserts this).
+/// Every representative records into its own [`CollectingRecorder`]
+/// created inside its pool job (the recorder is `Send` but not `Sync`,
+/// so recorders are never shared across workers), wrapped in a
+/// [`Span::SimulateLaunch`] span. Traces come back in representative
+/// order (ascending launch index within each cluster pick). Recording is
+/// observation-only: the result is bit-identical to [`run_tbpoint`]'s,
+/// and both the result *and* the traces are bit-identical to the serial
+/// run at every worker count.
 ///
 /// # Errors
 ///
-/// As [`run_tbpoint`], plus [`TbError::InvalidConfig`] naming
-/// `sim_jobs` when `plan.sim_jobs` is neither 0 nor 1. A failing
-/// representative reports the error with the lowest recorded
-/// representative index.
+/// Exactly as [`run_tbpoint`].
+pub fn run_tbpoint_traced(
+    run: &KernelRun,
+    profile: Option<&RunProfile>,
+    cfg: &TbpointConfig,
+    gpu: &GpuConfig,
+    plan: ExecPlan,
+) -> Result<(TbpointResult, Vec<LaunchTrace>), TbError> {
+    let (result, recs) = run_pipeline::<CollectingRecorder>(run, profile, cfg, gpu, plan)?;
+    let traces = recs
+        .into_iter()
+        .map(|(launch, rec)| LaunchTrace {
+            launch,
+            trace: rec.finish(),
+        })
+        .collect();
+    Ok((result, traces))
+}
+
+/// Two-phase [`run_tbpoint`], kept only for the frozen benchmark
+/// (`perfbench/`).
+#[doc(hidden)]
 pub fn run_tbpoint_plan(
     run: &KernelRun,
     profile: &RunProfile,
@@ -625,399 +776,19 @@ pub fn run_tbpoint_plan(
     gpu: &GpuConfig,
     plan: ExecPlan,
 ) -> Result<TbpointResult, TbError> {
-    let plan = validate_call(cfg, SamplingMode::TwoPhase, plan)?;
-    check_profile(run, profile)?;
-    let n_launches = run.launches.len();
-    let inter = pick_launches(profile, cfg, n_launches);
-    let occupancy = gpu.system_occupancy(&run.kernel);
-
-    // Step 2: simulate each representative with intra-launch sampling,
-    // scheduled as whole launches across the pool.
-    let reps = &inter.representatives;
-    let rep_results = run_indexed(plan.pool_workers, reps.len(), |i| {
-        simulate_rep(run, profile, cfg, gpu, occupancy, reps[i], &NullRecorder)
-    })
-    .map_err(|(_, e)| e)?;
-
-    Ok(aggregate(run, profile, inter, &rep_results))
+    run_tbpoint(run, Some(profile), cfg, gpu, plan)
 }
 
-/// [`run_tbpoint`] with per-launch observability traces.
-///
-/// Each simulated representative gets its own [`CollectingRecorder`]
-/// wrapped in a [`Span::SimulateLaunch`] span; traces are returned in
-/// representative order (ascending launch index within each cluster
-/// pick). Recording is observation-only: the [`TbpointResult`] is
-/// bit-identical to [`run_tbpoint`]'s (the golden determinism test
-/// asserts this). Runs serially; use [`run_tbpoint_traced_plan`] to
-/// fan out.
-///
-/// # Errors
-///
-/// Exactly as [`run_tbpoint`].
-pub fn run_tbpoint_traced(
-    run: &KernelRun,
-    profile: &RunProfile,
-    cfg: &TbpointConfig,
-    gpu: &GpuConfig,
-) -> Result<(TbpointResult, Vec<LaunchTrace>), TbError> {
-    run_tbpoint_traced_plan(run, profile, cfg, gpu, ExecPlan::serial())
-}
-
-/// [`run_tbpoint_traced`] under an explicit [`ExecPlan`].
-///
-/// Tracing composes with the pool: every representative records into
-/// its own [`CollectingRecorder`] created inside its pool job (the
-/// recorder is `Send` but not `Sync`, so recorders are never shared
-/// across workers), and the per-launch [`TraceBundle`]s are merged back
-/// in canonical representative order. Both the result *and* the traces
-/// are therefore bit-identical to the serial run at every worker count.
-///
-/// # Errors
-///
-/// Exactly as [`run_tbpoint_plan`].
-pub fn run_tbpoint_traced_plan(
-    run: &KernelRun,
-    profile: &RunProfile,
-    cfg: &TbpointConfig,
-    gpu: &GpuConfig,
-    plan: ExecPlan,
-) -> Result<(TbpointResult, Vec<LaunchTrace>), TbError> {
-    let plan = validate_call(cfg, SamplingMode::TwoPhase, plan)?;
-    check_profile(run, profile)?;
-    let n_launches = run.launches.len();
-    let inter = pick_launches(profile, cfg, n_launches);
-    let occupancy = gpu.system_occupancy(&run.kernel);
-
-    let reps = &inter.representatives;
-    let outcomes = run_indexed(plan.pool_workers, reps.len(), |i| {
-        let rep = reps[i];
-        let rec = CollectingRecorder::new();
-        let span = Span::SimulateLaunch {
-            launch: run.launches[rep].launch_id.0,
-        };
-        rec.span_start(0, span);
-        let r = simulate_rep(run, profile, cfg, gpu, occupancy, rep, &rec)?;
-        rec.span_end(r.sim_cycles, span);
-        Ok((r, rec.finish()))
-    })
-    .map_err(|(_, e): (usize, TbError)| e)?;
-
-    let mut rep_results = Vec::with_capacity(outcomes.len());
-    let mut traces = Vec::with_capacity(outcomes.len());
-    for (&rep, (r, trace)) in reps.iter().zip(outcomes) {
-        rep_results.push(r);
-        traces.push(LaunchTrace { launch: rep, trace });
-    }
-
-    Ok((aggregate(run, profile, inter, &rep_results), traces))
-}
-
-// --- live single-pass pipeline -----------------------------------------
-
-/// Live inter-launch grouping: with no profile (and therefore no Eq. 2
-/// feature vectors), launches are grouped by their *specs* — identical
-/// `(num_blocks, work_scale)` means identical work on our deterministic
-/// substrate, so one representative per spec class suffices. The first
-/// launch of each class is its representative.
-fn live_classes(run: &KernelRun, cfg: &TbpointConfig) -> InterResult {
-    let n = run.launches.len();
-    if !cfg.inter_enabled {
-        return InterResult {
-            clustering: Clustering::from_assignments(&(0..n).collect::<Vec<_>>()),
-            representatives: (0..n).collect(),
-            features: vec![],
-        };
-    }
-    let mut keys: Vec<(u32, u64)> = Vec::new();
-    let mut assignments = Vec::with_capacity(n);
-    let mut representatives = Vec::new();
-    for (i, spec) in run.launches.iter().enumerate() {
-        let key = (spec.num_blocks, spec.work_scale.to_bits());
-        match keys.iter().position(|k| *k == key) {
-            Some(c) => assignments.push(c),
-            None => {
-                assignments.push(keys.len());
-                representatives.push(i);
-                keys.push(key);
-            }
-        }
-    }
-    InterResult {
-        clustering: Clustering::from_assignments(&assignments),
-        representatives,
-        features: vec![],
-    }
-}
-
-/// Step 2 of the live pipeline: simulate one representative with the
-/// online [`LiveSampler`] (no profile). Instruction totals come out of
-/// the simulator plus the sampler's skip estimates instead of a profile.
-#[allow(clippy::too_many_arguments)]
-fn simulate_rep_live<R: Recorder>(
-    run: &KernelRun,
-    cfg: &TbpointConfig,
-    gpu: &GpuConfig,
-    occupancy: u32,
-    block_invariant: bool,
-    rep: usize,
-    rec: &R,
-) -> Result<RepSim, TbError> {
-    let spec = &run.launches[rep];
-    if cfg.intra_enabled {
-        let mut sampler = LiveSampler::builder(spec.num_blocks, occupancy)
-            .block_invariant(block_invariant)
-            .sigma(cfg.intra.sigma)
-            .threshold(cfg.warming_threshold)
-            .unit_tb_span(cfg.unit_tb_span)
-            .warming_window(cfg.warming_window)
-            .warming_budget(cfg.warming_budget)
-            .min_run(cfg.live_min_run)
-            .guard_period(cfg.live_guard_period)
-            .destab_tolerance(cfg.live_destab_tolerance)
-            .recorder(rec)
-            .build()?;
-        let r = simulate_guarded(run, spec, gpu, &mut sampler, cfg.cycle_budget, rep, rec)?;
-        let o = sampler.outcome();
-        let est_total = r.issued_warp_insts + o.skipped_warp_insts;
-        let predicted_cycles = r.cycles as f64 + o.predicted_skipped_cycles;
-        let predicted_ipc = if predicted_cycles > 0.0 {
-            est_total as f64 / predicted_cycles
-        } else {
-            0.0
-        };
-        return Ok(RepSim {
-            issued: r.issued_warp_insts,
-            skipped_insts: o.skipped_warp_insts,
-            sim_cycles: r.cycles,
-            predicted_cycles,
-            predicted_ipc,
-            degraded: o.degraded_regions > 0,
-        });
-    }
-
-    // Intra-launch sampling disabled: the "live" run is just a detailed
-    // simulation (still profile-free; instruction counts are exact).
-    let r = simulate_guarded(
-        run,
-        spec,
-        gpu,
-        &mut NullSampling,
-        cfg.cycle_budget,
-        rep,
-        rec,
-    )?;
-    let predicted_cycles = r.cycles as f64;
-    let predicted_ipc = if predicted_cycles > 0.0 {
-        r.issued_warp_insts as f64 / predicted_cycles
-    } else {
-        0.0
-    };
-    Ok(RepSim {
-        issued: r.issued_warp_insts,
-        skipped_insts: 0,
-        sim_cycles: r.cycles,
-        predicted_cycles,
-        predicted_ipc,
-        degraded: false,
-    })
-}
-
-/// Steps 3-4 of the live pipeline. Identical accounting to the two-phase
-/// [`aggregate`], except instruction totals come from the simulated
-/// representatives (issued + estimated skipped) instead of the profile:
-/// a non-representative launch shares its class representative's spec,
-/// so its instruction count *is* the representative's estimated total.
-fn aggregate_live(run: &KernelRun, inter: InterResult, rep_results: &[RepSim]) -> TbpointResult {
-    let n_launches = run.launches.len();
-    // rep_outcome[launch] = (predicted_cycles, predicted_ipc, est insts).
-    let mut rep_outcome: Vec<Option<(f64, f64, u64)>> = vec![None; n_launches];
-    let mut simulated_warp_insts = 0u64;
-    let mut intra_skipped = 0u64;
-    let mut degraded_launches = 0usize;
-    for (&rep, r) in inter.representatives.iter().zip(rep_results) {
-        simulated_warp_insts += r.issued;
-        intra_skipped += r.skipped_insts;
-        if r.degraded {
-            degraded_launches += 1;
-        }
-        rep_outcome[rep] = Some((
-            r.predicted_cycles,
-            r.predicted_ipc,
-            r.issued + r.skipped_insts,
-        ));
-    }
-
-    let mut per_launch_predicted_cycles = Vec::with_capacity(n_launches);
-    let mut inter_skipped = 0u64;
-    let mut total_insts = 0u64;
-    for i in 0..n_launches {
-        let rep = inter.representatives[inter.clustering.assignments[i]];
-        // Filled for every representative by the loop above; the
-        // fallback only guards an impossible index.
-        let (rep_cycles, rep_ipc, rep_insts) = rep_outcome[rep].unwrap_or((0.0, 0.0, 0));
-        total_insts += rep_insts;
-        if i == rep {
-            per_launch_predicted_cycles.push(rep_cycles);
-        } else {
-            inter_skipped += rep_insts;
-            let cycles = if rep_ipc > 0.0 {
-                rep_insts as f64 / rep_ipc
-            } else {
-                rep_cycles
-            };
-            per_launch_predicted_cycles.push(cycles);
-        }
-    }
-    let predicted_total_cycles: f64 = per_launch_predicted_cycles.iter().sum();
-    let predicted_ipc = if predicted_total_cycles > 0.0 {
-        total_insts as f64 / predicted_total_cycles
-    } else {
-        0.0
-    };
-
-    TbpointResult {
-        kernel_name: run.kernel.name.clone(),
-        predicted_ipc,
-        simulated_warp_insts,
-        total_warp_insts: total_insts,
-        predicted_total_cycles,
-        breakdown: SavingsBreakdown {
-            inter_skipped_warp_insts: inter_skipped,
-            intra_skipped_warp_insts: intra_skipped,
-        },
-        num_simulated_launches: inter.representatives.len(),
-        num_launches: n_launches,
-        per_launch_predicted_cycles,
-        inter_clustering: inter.clustering,
-        degraded_launches,
-    }
-}
-
-/// Run the live single-pass TBPoint pipeline for one benchmark: no
-/// profiling pass, no region tables — epoch detection, clustering and
-/// fast-forwarding all happen online inside the one timing simulation
-/// (see [`crate::sampling::live::LiveSampler`]).
-///
-/// The returned [`TbpointResult`] has the same shape as
-/// [`run_tbpoint`]'s, but `total_warp_insts` (and everything derived
-/// from it) is an *estimate*: exact for block-invariant kernels, the
-/// cluster running mean otherwise.
-///
-/// # Errors
-///
-/// [`TbError::InvalidConfig`] when [`TbpointConfig::validate`] rejects
-/// `cfg` or `cfg.mode` is not [`SamplingMode::Live`];
-/// [`TbError::BudgetExceeded`] when a representative overruns
-/// `cfg.cycle_budget`.
-pub fn run_tbpoint_live(
-    run: &KernelRun,
-    cfg: &TbpointConfig,
-    gpu: &GpuConfig,
-) -> Result<TbpointResult, TbError> {
-    run_tbpoint_live_plan(run, cfg, gpu, ExecPlan::serial())
-}
-
-/// [`run_tbpoint_live`] under an explicit [`ExecPlan`].
-///
-/// Exactly like [`run_tbpoint_plan`], representatives fan out across
-/// `plan.pool_workers` pool threads; the retire-time feature stream the
-/// live sampler consumes is delivered in the same deterministic order at
-/// every worker count, so the result is bit-identical to serial.
-///
-/// # Errors
-///
-/// As [`run_tbpoint_live`], plus [`TbError::InvalidConfig`] naming
-/// `sim_jobs` when `plan.sim_jobs` is neither 0 nor 1. A failing
-/// representative reports the error with the lowest recorded
-/// representative index.
+/// Live [`run_tbpoint`], kept only for the frozen benchmark
+/// (`perfbench/`).
+#[doc(hidden)]
 pub fn run_tbpoint_live_plan(
     run: &KernelRun,
     cfg: &TbpointConfig,
     gpu: &GpuConfig,
     plan: ExecPlan,
 ) -> Result<TbpointResult, TbError> {
-    let plan = validate_call(cfg, SamplingMode::Live, plan)?;
-    let inter = live_classes(run, cfg);
-    let occupancy = gpu.system_occupancy(&run.kernel);
-    let deps = TraceDeps::of(&run.kernel);
-    let block_invariant = !deps.per_thread && !deps.per_block;
-
-    let reps = &inter.representatives;
-    let rep_results = run_indexed(plan.pool_workers, reps.len(), |i| {
-        simulate_rep_live(
-            run,
-            cfg,
-            gpu,
-            occupancy,
-            block_invariant,
-            reps[i],
-            &NullRecorder,
-        )
-    })
-    .map_err(|(_, e)| e)?;
-
-    Ok(aggregate_live(run, inter, &rep_results))
-}
-
-/// [`run_tbpoint_live`] with per-launch observability traces (the live
-/// analogue of [`run_tbpoint_traced`]). Runs serially; use
-/// [`run_tbpoint_live_traced_plan`] to fan out.
-///
-/// # Errors
-///
-/// Exactly as [`run_tbpoint_live`].
-pub fn run_tbpoint_live_traced(
-    run: &KernelRun,
-    cfg: &TbpointConfig,
-    gpu: &GpuConfig,
-) -> Result<(TbpointResult, Vec<LaunchTrace>), TbError> {
-    run_tbpoint_live_traced_plan(run, cfg, gpu, ExecPlan::serial())
-}
-
-/// [`run_tbpoint_live_traced`] under an explicit [`ExecPlan`]: each
-/// representative records into its own [`CollectingRecorder`] inside its
-/// pool job and traces merge back in canonical representative order, so
-/// both the result and the trace streams are bit-identical to serial at
-/// every worker count.
-///
-/// # Errors
-///
-/// Exactly as [`run_tbpoint_live_plan`].
-pub fn run_tbpoint_live_traced_plan(
-    run: &KernelRun,
-    cfg: &TbpointConfig,
-    gpu: &GpuConfig,
-    plan: ExecPlan,
-) -> Result<(TbpointResult, Vec<LaunchTrace>), TbError> {
-    let plan = validate_call(cfg, SamplingMode::Live, plan)?;
-    let inter = live_classes(run, cfg);
-    let occupancy = gpu.system_occupancy(&run.kernel);
-    let deps = TraceDeps::of(&run.kernel);
-    let block_invariant = !deps.per_thread && !deps.per_block;
-
-    let reps = &inter.representatives;
-    let outcomes = run_indexed(plan.pool_workers, reps.len(), |i| {
-        let rep = reps[i];
-        let rec = CollectingRecorder::new();
-        let span = Span::SimulateLaunch {
-            launch: run.launches[rep].launch_id.0,
-        };
-        rec.span_start(0, span);
-        let r = simulate_rep_live(run, cfg, gpu, occupancy, block_invariant, rep, &rec)?;
-        rec.span_end(r.sim_cycles, span);
-        Ok((r, rec.finish()))
-    })
-    .map_err(|(_, e): (usize, TbError)| e)?;
-
-    let mut rep_results = Vec::with_capacity(outcomes.len());
-    let mut traces = Vec::with_capacity(outcomes.len());
-    for (&rep, (r, trace)) in reps.iter().zip(outcomes) {
-        rep_results.push(r);
-        traces.push(LaunchTrace { launch: rep, trace });
-    }
-
-    Ok((aggregate_live(run, inter, &rep_results), traces))
+    run_tbpoint(run, None, cfg, gpu, plan)
 }
 
 #[cfg(test)]
@@ -1026,6 +797,26 @@ mod tests {
     use tbpoint_emu::profile_run;
     use tbpoint_ir::{AddrPattern, KernelBuilder, KernelRun, LaunchId, LaunchSpec, Op, TripCount};
     use tbpoint_sim::{simulate_run, NullSampling};
+
+    /// Serial two-phase run on the Fermi model.
+    fn two_phase(
+        run: &KernelRun,
+        profile: &RunProfile,
+        cfg: &TbpointConfig,
+    ) -> Result<TbpointResult, TbError> {
+        run_tbpoint(
+            run,
+            Some(profile),
+            cfg,
+            &GpuConfig::fermi(),
+            ExecPlan::serial(),
+        )
+    }
+
+    /// Serial live run on the Fermi model.
+    fn live(run: &KernelRun, cfg: &TbpointConfig) -> Result<TbpointResult, TbError> {
+        run_tbpoint(run, None, cfg, &GpuConfig::fermi(), ExecPlan::serial())
+    }
 
     fn live_cfg() -> TbpointConfig {
         TbpointConfig {
@@ -1065,7 +856,7 @@ mod tests {
         let profile = profile_run(&run, 2);
         let full = simulate_run(&run, &gpu, &mut NullSampling, None);
 
-        let result = run_tbpoint(&run, &profile, &TbpointConfig::default(), &gpu).unwrap();
+        let result = two_phase(&run, &profile, &TbpointConfig::default()).unwrap();
         assert_eq!(
             result.num_simulated_launches, 1,
             "6 identical launches -> 1 simulated"
@@ -1090,13 +881,12 @@ mod tests {
     #[test]
     fn disabling_inter_simulates_every_launch() {
         let run = homogeneous_run(4, 200);
-        let gpu = GpuConfig::fermi();
         let profile = profile_run(&run, 2);
         let cfg = TbpointConfig {
             inter_enabled: false,
             ..Default::default()
         };
-        let result = run_tbpoint(&run, &profile, &cfg, &gpu).unwrap();
+        let result = two_phase(&run, &profile, &cfg).unwrap();
         assert_eq!(result.num_simulated_launches, 4);
         assert_eq!(result.breakdown.inter_skipped_warp_insts, 0);
     }
@@ -1104,13 +894,12 @@ mod tests {
     #[test]
     fn disabling_intra_runs_representatives_in_full() {
         let run = homogeneous_run(4, 200);
-        let gpu = GpuConfig::fermi();
         let profile = profile_run(&run, 2);
         let cfg = TbpointConfig {
             intra_enabled: false,
             ..Default::default()
         };
-        let result = run_tbpoint(&run, &profile, &cfg, &gpu).unwrap();
+        let result = two_phase(&run, &profile, &cfg).unwrap();
         assert_eq!(result.breakdown.intra_skipped_warp_insts, 0);
         assert_eq!(result.num_simulated_launches, 1);
         // The one simulated launch runs in full.
@@ -1128,7 +917,7 @@ mod tests {
             intra_enabled: false,
             ..Default::default()
         };
-        let result = run_tbpoint(&run, &profile, &cfg, &gpu).unwrap();
+        let result = two_phase(&run, &profile, &cfg).unwrap();
         assert_eq!(result.sample_size(), 1.0);
         let full = simulate_run(&run, &gpu, &mut NullSampling, None);
         assert!(result.error_vs(full.overall_ipc()) < 1e-9);
@@ -1149,13 +938,7 @@ mod tests {
         let run = homogeneous_run(3, 10);
         let short_run = homogeneous_run(2, 10);
         let profile = profile_run(&short_run, 1);
-        let err = run_tbpoint(
-            &run,
-            &profile,
-            &TbpointConfig::default(),
-            &GpuConfig::fermi(),
-        )
-        .unwrap_err();
+        let err = two_phase(&run, &profile, &TbpointConfig::default()).unwrap_err();
         assert_eq!(
             err,
             TbError::ProfileMismatch {
@@ -1169,13 +952,12 @@ mod tests {
     fn nonsense_config_is_rejected_up_front() {
         let run = homogeneous_run(2, 10);
         let profile = profile_run(&run, 1);
-        let gpu = GpuConfig::fermi();
 
         let zero_span = TbpointConfig {
             unit_tb_span: 0,
             ..Default::default()
         };
-        let err = run_tbpoint(&run, &profile, &zero_span, &gpu).unwrap_err();
+        let err = two_phase(&run, &profile, &zero_span).unwrap_err();
         assert!(matches!(
             err,
             TbError::InvalidConfig {
@@ -1188,7 +970,7 @@ mod tests {
             warming_threshold: -0.1,
             ..Default::default()
         };
-        let err = run_tbpoint(&run, &profile, &bad_threshold, &gpu).unwrap_err();
+        let err = two_phase(&run, &profile, &bad_threshold).unwrap_err();
         assert!(matches!(
             err,
             TbError::InvalidConfig {
@@ -1217,7 +999,6 @@ mod tests {
     #[test]
     fn invalid_profile_degrades_to_detailed_simulation() {
         let run = homogeneous_run(3, 200);
-        let gpu = GpuConfig::fermi();
         let mut profile = profile_run(&run, 2);
         // Truncate every launch's block roster: validation must fail and
         // the pipeline must fall back to full detailed simulation of the
@@ -1225,7 +1006,7 @@ mod tests {
         for lp in &mut profile.launches {
             lp.tbs.pop();
         }
-        let result = run_tbpoint(&run, &profile, &TbpointConfig::default(), &gpu).unwrap();
+        let result = two_phase(&run, &profile, &TbpointConfig::default()).unwrap();
         assert_eq!(result.degraded_launches, result.num_simulated_launches);
         assert_eq!(result.degradation_ratio(), 1.0);
         // Degraded reps run in full: nothing was intra-skipped.
@@ -1241,8 +1022,14 @@ mod tests {
         for lp in &mut profile.launches {
             lp.tbs.pop();
         }
-        let (result, traces) =
-            run_tbpoint_traced(&run, &profile, &TbpointConfig::default(), &gpu).unwrap();
+        let (result, traces) = run_tbpoint_traced(
+            &run,
+            Some(&profile),
+            &TbpointConfig::default(),
+            &gpu,
+            ExecPlan::serial(),
+        )
+        .unwrap();
         assert!(result.degraded_launches > 0);
         let degraded_events: usize = traces
             .iter()
@@ -1271,7 +1058,8 @@ mod tests {
             warming_budget: Some(crate::sampling::WARMING_WINDOW as u32),
             ..Default::default()
         };
-        let (result, traces) = run_tbpoint_traced(&run, &profile, &cfg, &gpu).unwrap();
+        let (result, traces) =
+            run_tbpoint_traced(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
         assert_eq!(result.degraded_launches, 1);
         assert!(result.degradation_ratio() > 0.0);
         // Abandoned regions are simulated in detail: no fast-forwarding.
@@ -1290,20 +1078,19 @@ mod tests {
             warming_budget: None,
             ..cfg
         };
-        let r2 = run_tbpoint(&run, &profile, &no_budget, &gpu).unwrap();
+        let r2 = two_phase(&run, &profile, &no_budget).unwrap();
         assert_eq!(r2.degraded_launches, 0);
     }
 
     #[test]
     fn cycle_budget_overrun_is_an_error_not_a_hang() {
         let run = homogeneous_run(1, 1800);
-        let gpu = GpuConfig::fermi();
         let profile = profile_run(&run, 2);
         let cfg = TbpointConfig {
             cycle_budget: Some(1),
             ..Default::default()
         };
-        let err = run_tbpoint(&run, &profile, &cfg, &gpu).unwrap_err();
+        let err = two_phase(&run, &profile, &cfg).unwrap_err();
         assert_eq!(
             err,
             TbError::BudgetExceeded {
@@ -1316,8 +1103,8 @@ mod tests {
             cycle_budget: Some(u64::MAX),
             ..Default::default()
         };
-        let guarded = run_tbpoint(&run, &profile, &roomy, &gpu).unwrap();
-        let plain = run_tbpoint(&run, &profile, &TbpointConfig::default(), &gpu).unwrap();
+        let guarded = two_phase(&run, &profile, &roomy).unwrap();
+        let plain = two_phase(&run, &profile, &TbpointConfig::default()).unwrap();
         assert_eq!(guarded, plain);
     }
 
@@ -1351,13 +1138,7 @@ mod tests {
     fn degradation_ratio_math() {
         let run = homogeneous_run(2, 100);
         let profile = profile_run(&run, 2);
-        let mut r = run_tbpoint(
-            &run,
-            &profile,
-            &TbpointConfig::default(),
-            &GpuConfig::fermi(),
-        )
-        .unwrap();
+        let mut r = two_phase(&run, &profile, &TbpointConfig::default()).unwrap();
         assert_eq!(r.degradation_ratio(), 0.0);
         r.degraded_launches = r.num_simulated_launches;
         assert_eq!(r.degradation_ratio(), 1.0);
@@ -1371,8 +1152,9 @@ mod tests {
         let gpu = GpuConfig::fermi();
         let profile = profile_run(&run, 2);
         let cfg = TbpointConfig::default();
-        let plain = run_tbpoint(&run, &profile, &cfg, &gpu).unwrap();
-        let (traced, traces) = run_tbpoint_traced(&run, &profile, &cfg, &gpu).unwrap();
+        let plain = two_phase(&run, &profile, &cfg).unwrap();
+        let (traced, traces) =
+            run_tbpoint_traced(&run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
         // Recording is observation-only: bit-identical results.
         assert_eq!(plain, traced);
         assert_eq!(traces.len(), traced.num_simulated_launches);
@@ -1406,7 +1188,7 @@ mod tests {
             mode: SamplingMode::Live,
             ..Default::default()
         };
-        let result = run_tbpoint_live(&run, &cfg, &gpu).unwrap();
+        let result = live(&run, &cfg).unwrap();
         assert_eq!(
             result.num_simulated_launches, 1,
             "6 identical specs -> 1 simulated"
@@ -1435,11 +1217,10 @@ mod tests {
     #[test]
     fn live_and_two_phase_agree_on_homogeneous_run() {
         let run = homogeneous_run(4, 1800);
-        let gpu = GpuConfig::fermi();
         let profile = profile_run(&run, 2);
         let cfg = TbpointConfig::default();
-        let two_phase = run_tbpoint(&run, &profile, &cfg, &gpu).unwrap();
-        let live = run_tbpoint_live(&run, &live_cfg(), &gpu).unwrap();
+        let two_phase = two_phase(&run, &profile, &cfg).unwrap();
+        let live = live(&run, &live_cfg()).unwrap();
         let rel = ((live.predicted_ipc - two_phase.predicted_ipc) / two_phase.predicted_ipc).abs();
         assert!(
             rel < 0.10,
@@ -1459,7 +1240,7 @@ mod tests {
             intra_enabled: false,
             ..live_cfg()
         };
-        let result = run_tbpoint_live(&run, &cfg, &gpu).unwrap();
+        let result = live(&run, &cfg).unwrap();
         assert_eq!(result.sample_size(), 1.0);
         let full = simulate_run(&run, &gpu, &mut NullSampling, None);
         assert!(result.error_vs(full.overall_ipc()) < 1e-9);
@@ -1474,7 +1255,8 @@ mod tests {
             warming_budget: Some(crate::sampling::WARMING_WINDOW as u32),
             ..live_cfg()
         };
-        let (result, traces) = run_tbpoint_live_traced(&run, &cfg, &gpu).unwrap();
+        let (result, traces) =
+            run_tbpoint_traced(&run, None, &cfg, &gpu, ExecPlan::serial()).unwrap();
         assert_eq!(result.degraded_launches, 1);
         assert_eq!(result.breakdown.intra_skipped_warp_insts, 0);
         assert!(traces.iter().flat_map(|t| &t.trace.events).any(|e| {
@@ -1490,12 +1272,11 @@ mod tests {
     #[test]
     fn live_cycle_budget_overrun_is_an_error() {
         let run = homogeneous_run(1, 1800);
-        let gpu = GpuConfig::fermi();
         let cfg = TbpointConfig {
             cycle_budget: Some(1),
             ..live_cfg()
         };
-        let err = run_tbpoint_live(&run, &cfg, &gpu).unwrap_err();
+        let err = live(&run, &cfg).unwrap_err();
         assert_eq!(
             err,
             TbError::BudgetExceeded {
@@ -1508,7 +1289,6 @@ mod tests {
     #[test]
     fn live_config_knobs_are_validated() {
         let run = homogeneous_run(1, 10);
-        let gpu = GpuConfig::fermi();
         for (cfg, field) in [
             (
                 TbpointConfig {
@@ -1532,33 +1312,11 @@ mod tests {
                 "live_destab_tolerance",
             ),
         ] {
-            let err = run_tbpoint_live(&run, &cfg, &gpu).unwrap_err();
+            let err = live(&run, &cfg).unwrap_err();
             match err {
                 TbError::InvalidConfig { field: f, .. } => assert_eq!(f, field),
                 other => panic!("unexpected error {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn live_pooled_results_and_traces_are_identical_at_any_worker_count() {
-        let run = homogeneous_run(5, 300);
-        let gpu = GpuConfig::fermi();
-        let cfg = TbpointConfig {
-            inter_enabled: false,
-            ..live_cfg()
-        };
-        let serial = run_tbpoint_live(&run, &cfg, &gpu).unwrap();
-        let (serial_traced, serial_traces) = run_tbpoint_live_traced(&run, &cfg, &gpu).unwrap();
-        assert_eq!(serial, serial_traced, "tracing changed the live result");
-        for pool_workers in [1, 2, 4] {
-            let plan = ExecPlan::pool(pool_workers);
-            let pooled = run_tbpoint_live_plan(&run, &cfg, &gpu, plan).unwrap();
-            assert_eq!(pooled, serial, "workers={pool_workers}");
-            let (traced, traces) = run_tbpoint_live_traced_plan(&run, &cfg, &gpu, plan).unwrap();
-            assert_eq!(traced, serial_traced, "workers={pool_workers}");
-            // Canonical-order merge: the trace streams match too.
-            assert_eq!(traces, serial_traces, "workers={pool_workers}");
         }
     }
 
@@ -1569,23 +1327,38 @@ mod tests {
         let run = homogeneous_run(5, 300);
         let gpu = GpuConfig::fermi();
         let profile = profile_run(&run, 2);
-        let cfg = TbpointConfig {
-            inter_enabled: false,
-            ..Default::default()
-        };
-        let serial = run_tbpoint(&run, &profile, &cfg, &gpu).unwrap();
-        let (serial_traced, serial_traces) =
-            run_tbpoint_traced(&run, &profile, &cfg, &gpu).unwrap();
-        for pool_workers in [1, 2, 4] {
-            let plan = ExecPlan::pool(pool_workers);
-            let pooled = run_tbpoint_plan(&run, &profile, &cfg, &gpu, plan).unwrap();
-            assert_eq!(pooled, serial, "pool_workers={pool_workers}");
-            let (traced, traces) =
-                run_tbpoint_traced_plan(&run, &profile, &cfg, &gpu, plan).unwrap();
-            assert_eq!(traced, serial_traced, "pool_workers={pool_workers}");
-            // Canonical-order merge: the trace *streams* are identical
-            // too, not just the results.
-            assert_eq!(traces, serial_traces, "pool_workers={pool_workers}");
+        for (mode, profile) in [
+            (SamplingMode::TwoPhase, Some(&profile)),
+            (SamplingMode::Live, None),
+        ] {
+            let cfg = TbpointConfig {
+                inter_enabled: false,
+                mode,
+                ..Default::default()
+            };
+            let serial = run_tbpoint(&run, profile, &cfg, &gpu, ExecPlan::serial()).unwrap();
+            let (serial_traced, serial_traces) =
+                run_tbpoint_traced(&run, profile, &cfg, &gpu, ExecPlan::serial()).unwrap();
+            assert_eq!(
+                serial, serial_traced,
+                "{mode:?}: tracing changed the result"
+            );
+            for pool_workers in [1, 2, 4] {
+                let plan = ExecPlan::pool(pool_workers);
+                let pooled = run_tbpoint(&run, profile, &cfg, &gpu, plan).unwrap();
+                assert_eq!(pooled, serial, "{mode:?} pool_workers={pool_workers}");
+                let (traced, traces) = run_tbpoint_traced(&run, profile, &cfg, &gpu, plan).unwrap();
+                assert_eq!(
+                    traced, serial_traced,
+                    "{mode:?} pool_workers={pool_workers}"
+                );
+                // Canonical-order merge: the trace *streams* are identical
+                // too, not just the results.
+                assert_eq!(
+                    traces, serial_traces,
+                    "{mode:?} pool_workers={pool_workers}"
+                );
+            }
         }
     }
 
@@ -1597,31 +1370,29 @@ mod tests {
     }
 
     #[test]
-    fn two_phase_family_rejects_a_live_config() {
+    fn two_phase_without_a_profile_is_rejected() {
+        let run = homogeneous_run(1, 10);
+        let gpu = GpuConfig::fermi();
+        let cfg = TbpointConfig::default();
+        let plan = ExecPlan::serial();
+        assert_invalid(run_tbpoint(&run, None, &cfg, &gpu, plan), "mode");
+        assert_invalid(run_tbpoint_traced(&run, None, &cfg, &gpu, plan), "mode");
+        assert_invalid(run_tbpoint_live_plan(&run, &cfg, &gpu, plan), "mode");
+    }
+
+    #[test]
+    fn live_with_a_profile_is_rejected() {
         let run = homogeneous_run(1, 10);
         let gpu = GpuConfig::fermi();
         let profile = profile_run(&run, 1);
         let cfg = live_cfg();
         let plan = ExecPlan::serial();
-        assert_invalid(run_tbpoint(&run, &profile, &cfg, &gpu), "mode");
-        assert_invalid(run_tbpoint_traced(&run, &profile, &cfg, &gpu), "mode");
-        assert_invalid(run_tbpoint_plan(&run, &profile, &cfg, &gpu, plan), "mode");
+        assert_invalid(run_tbpoint(&run, Some(&profile), &cfg, &gpu, plan), "mode");
         assert_invalid(
-            run_tbpoint_traced_plan(&run, &profile, &cfg, &gpu, plan),
+            run_tbpoint_traced(&run, Some(&profile), &cfg, &gpu, plan),
             "mode",
         );
-    }
-
-    #[test]
-    fn live_family_rejects_a_two_phase_config() {
-        let run = homogeneous_run(1, 10);
-        let gpu = GpuConfig::fermi();
-        let cfg = TbpointConfig::default();
-        let plan = ExecPlan::serial();
-        assert_invalid(run_tbpoint_live(&run, &cfg, &gpu), "mode");
-        assert_invalid(run_tbpoint_live_traced(&run, &cfg, &gpu), "mode");
-        assert_invalid(run_tbpoint_live_plan(&run, &cfg, &gpu, plan), "mode");
-        assert_invalid(run_tbpoint_live_traced_plan(&run, &cfg, &gpu, plan), "mode");
+        assert_invalid(run_tbpoint_plan(&run, &profile, &cfg, &gpu, plan), "mode");
     }
 
     #[test]
@@ -1634,26 +1405,23 @@ mod tests {
             pool_workers: 1,
         };
         let cfg = TbpointConfig::default();
+        let live = live_cfg();
+        assert_invalid(
+            run_tbpoint(&run, Some(&profile), &cfg, &gpu, plan),
+            "sim_jobs",
+        );
+        assert_invalid(run_tbpoint(&run, None, &live, &gpu, plan), "sim_jobs");
         assert_invalid(
             run_tbpoint_plan(&run, &profile, &cfg, &gpu, plan),
             "sim_jobs",
         );
-        assert_invalid(
-            run_tbpoint_traced_plan(&run, &profile, &cfg, &gpu, plan),
-            "sim_jobs",
-        );
-        let cfg = live_cfg();
-        assert_invalid(run_tbpoint_live_plan(&run, &cfg, &gpu, plan), "sim_jobs");
-        assert_invalid(
-            run_tbpoint_live_traced_plan(&run, &cfg, &gpu, plan),
-            "sim_jobs",
-        );
+        assert_invalid(run_tbpoint_live_plan(&run, &live, &gpu, plan), "sim_jobs");
         // Zero keeps normalizing to one.
         let zero = ExecPlan {
             sim_jobs: 0,
             pool_workers: 1,
         };
-        assert!(run_tbpoint_plan(&run, &profile, &TbpointConfig::default(), &gpu, zero).is_ok());
-        assert!(run_tbpoint_live_plan(&run, &cfg, &gpu, zero).is_ok());
+        assert!(run_tbpoint(&run, Some(&profile), &cfg, &gpu, zero).is_ok());
+        assert!(run_tbpoint(&run, None, &live, &gpu, zero).is_ok());
     }
 }

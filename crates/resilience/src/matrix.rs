@@ -15,7 +15,7 @@
 use crate::fault::{corrupt_text, inject_profile, Fault};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use tbpoint_core::{run_tbpoint, run_tbpoint_traced, TbpointConfig};
+use tbpoint_core::{run_tbpoint, run_tbpoint_traced, ExecPlan, TbpointConfig};
 use tbpoint_emu::{profile_run, RunProfile};
 use tbpoint_ir::KernelRun;
 use tbpoint_obs::TraceBundle;
@@ -181,8 +181,9 @@ fn profile_cell(
 ) -> Outcome {
     let mut faulty = profile.clone();
     inject_profile(&mut faulty, fault, seed);
+    let plan = ExecPlan::serial();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_tbpoint(run, &faulty, &opts.config, &opts.gpu)
+        run_tbpoint(run, Some(&faulty), &opts.config, &opts.gpu, plan)
     }));
     match outcome {
         Err(p) => Outcome::Panicked(panic_msg(p)),
@@ -289,7 +290,8 @@ pub fn run_fault_matrix(runs: &[(String, KernelRun)], opts: &MatrixOptions) -> M
         let profile = profile_run(run, 1);
         let full = simulate_run(run, &opts.gpu, &mut NullSampling, None);
         let full_ipc = full.overall_ipc();
-        let sealed = match run_tbpoint_traced(run, &profile, &opts.config, &opts.gpu) {
+        let plan = ExecPlan::serial();
+        let sealed = match run_tbpoint_traced(run, Some(&profile), &opts.config, &opts.gpu, plan) {
             Ok((clean, traces)) => {
                 report
                     .clean_err_pct
@@ -362,6 +364,7 @@ pub fn error_growth(
 ) -> Vec<GrowthPoint> {
     let profile = profile_run(run, 1);
     let full_ipc = simulate_run(run, &opts.gpu, &mut NullSampling, None).overall_ipc();
+    let plan = ExecPlan::serial();
     magnitudes
         .iter()
         .map(|&magnitude| {
@@ -370,7 +373,7 @@ pub fn error_growth(
                 .map(|&seed| {
                     let mut faulty = profile.clone();
                     inject_profile(&mut faulty, Fault::StallJitter { magnitude }, seed);
-                    match run_tbpoint(run, &faulty, &opts.config, &opts.gpu) {
+                    match run_tbpoint(run, Some(&faulty), &opts.config, &opts.gpu, plan) {
                         Ok(r) => r.error_vs(full_ipc),
                         Err(_) => 100.0,
                     }

@@ -21,7 +21,7 @@
 //! alter results; performance work and refactors must leave both files
 //! untouched. See EXPERIMENTS.md ("Bit-identity goldens").
 
-use tbpoint_core::{run_tbpoint, run_tbpoint_live, SamplingMode, TbpointConfig, TbpointResult};
+use tbpoint_core::{run_tbpoint, ExecPlan, SamplingMode, TbpointConfig, TbpointResult};
 use tbpoint_emu::profile_run;
 use tbpoint_sim::{simulate_run, GpuConfig, NullSampling};
 use tbpoint_workloads::{all_benchmarks, Scale};
@@ -66,8 +66,10 @@ fn main() {
         );
 
         let profile = profile_run(&bench.run, 1);
-        let tp = run_tbpoint(&bench.run, &profile, &two_phase, &gpu).expect("two-phase runs");
-        let lv = run_tbpoint_live(&bench.run, &live, &gpu).expect("live runs");
+        let serial = ExecPlan::serial();
+        let tp = run_tbpoint(&bench.run, Some(&profile), &two_phase, &gpu, serial)
+            .expect("two-phase runs");
+        let lv = run_tbpoint(&bench.run, None, &live, &gpu, serial).expect("live runs");
         let json = |r: &TbpointResult| serde_json::to_string(r).expect("TbpointResult serialises");
         pipelines.push((
             bench.name,

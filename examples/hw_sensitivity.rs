@@ -38,7 +38,8 @@ fn main() -> Result<(), TbError> {
     ] {
         let gpu = GpuConfig::with_occupancy(w, s);
         let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
-        let tbp = run_tbpoint(&bench.run, &profile, &TbpointConfig::default(), &gpu)?;
+        let (cfg, plan) = (TbpointConfig::default(), ExecPlan::serial());
+        let tbp = run_tbpoint(&bench.run, Some(&profile), &cfg, &gpu, plan)?;
         println!(
             "{:>8} {:>10} {:>10.3} {:>10.2} {:>10.1}",
             format!("W{w}S{s}"),

@@ -63,7 +63,8 @@ fn main() -> Result<(), TbError> {
     // 5. TBPoint: inter-launch + intra-launch sampling with the paper's
     //    thresholds (sigma_inter = 0.1, sigma_intra = 0.2, VF = 0.3).
     let t1 = std::time::Instant::now();
-    let tbp = run_tbpoint(&run, &profile, &TbpointConfig::default(), &gpu)?;
+    let (cfg, plan) = (TbpointConfig::default(), ExecPlan::serial());
+    let tbp = run_tbpoint(&run, Some(&profile), &cfg, &gpu, plan)?;
     let t_tbp = t1.elapsed();
     println!(
         "TBPoint:         IPC {:.3} predicted  ({:?})",

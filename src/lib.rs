@@ -30,7 +30,7 @@
 //! # fn demo(run: &tbpoint::ir::KernelRun) -> Result<(), TbError> {
 //! let profile = profile_run(run, 1);
 //! let gpu = GpuConfig::fermi();
-//! let result = run_tbpoint(run, &profile, &TbpointConfig::default(), &gpu)?;
+//! let result = run_tbpoint(run, Some(&profile), &TbpointConfig::default(), &gpu, ExecPlan::serial())?;
 //! println!("predicted IPC {:.3}", result.predicted_ipc);
 //! # Ok(())
 //! # }
@@ -55,8 +55,8 @@ pub use tbpoint_core::TbError;
 /// The names most library users need, in one import.
 pub mod prelude {
     pub use crate::core::{
-        run_tbpoint, run_tbpoint_plan, run_tbpoint_traced, run_tbpoint_traced_plan, IntraOutcome,
-        LaunchTrace, RegionSampler, RegionSamplerBuilder, TbError, TbpointConfig, TbpointResult,
+        run_tbpoint, run_tbpoint_traced, IntraOutcome, LaunchTrace, RegionSampler,
+        RegionSamplerBuilder, SamplingMode, TbError, TbpointConfig, TbpointResult,
     };
     pub use crate::emu::{profile_launch, profile_run};
     pub use crate::obs::{

@@ -4,7 +4,7 @@
 //! profile-once-simulate-anywhere sound.
 
 use tbpoint::baselines::{collect_units, ideal_simpoint, IdealSimpointConfig};
-use tbpoint::core::predict::{run_tbpoint, run_tbpoint_plan, TbpointConfig};
+use tbpoint::core::predict::{run_tbpoint, TbpointConfig};
 use tbpoint::emu::{profile_launch, profile_run};
 use tbpoint::pool::ExecPlan;
 use tbpoint::sim::{simulate_run, GpuConfig, NullSampling};
@@ -45,8 +45,9 @@ fn tbpoint_prediction_is_deterministic() {
     let bench = benchmark_by_name("spmv", Scale::Tiny).unwrap();
     let gpu = GpuConfig::fermi();
     let profile = profile_run(&bench.run, 4);
-    let a = run_tbpoint(&bench.run, &profile, &TbpointConfig::default(), &gpu).unwrap();
-    let b = run_tbpoint(&bench.run, &profile, &TbpointConfig::default(), &gpu).unwrap();
+    let (cfg, plan) = (TbpointConfig::default(), ExecPlan::serial());
+    let a = run_tbpoint(&bench.run, Some(&profile), &cfg, &gpu, plan).unwrap();
+    let b = run_tbpoint(&bench.run, Some(&profile), &cfg, &gpu, plan).unwrap();
     assert_eq!(a, b);
 }
 
@@ -56,11 +57,12 @@ fn tbpoint_is_worker_count_invariant() {
     let bench = benchmark_by_name("cfd", Scale::Tiny).unwrap();
     let gpu = GpuConfig::fermi();
     let profile = profile_run(&bench.run, 4);
-    let serial = run_tbpoint(&bench.run, &profile, &TbpointConfig::default(), &gpu).unwrap();
-    let parallel = run_tbpoint_plan(
+    let cfg = TbpointConfig::default();
+    let serial = run_tbpoint(&bench.run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
+    let parallel = run_tbpoint(
         &bench.run,
-        &profile,
-        &TbpointConfig::default(),
+        Some(&profile),
+        &cfg,
         &gpu,
         ExecPlan {
             sim_jobs: 1,

@@ -29,7 +29,7 @@
 mod common;
 
 use common::Gen;
-use tbpoint::core::{run_tbpoint, run_tbpoint_live, SamplingMode, TbpointConfig};
+use tbpoint::core::{run_tbpoint, ExecPlan, SamplingMode, TbpointConfig};
 use tbpoint::emu::{profile_run, trace_warp, TraceArena, TraceKey};
 use tbpoint::ir::{Cond, Dist, ExecCtx, Kernel, KernelBuilder, LaunchId, Op, TripCount};
 use tbpoint::sim::{
@@ -127,8 +127,10 @@ fn tiny_pipelines_match_committed_golden() {
     };
     for bench in all_benchmarks(Scale::Tiny) {
         let profile = profile_run(&bench.run, 1);
-        let tp = run_tbpoint(&bench.run, &profile, &two_phase, &gpu).expect("two-phase runs");
-        let lv = run_tbpoint_live(&bench.run, &live, &gpu).expect("live runs");
+        let serial = ExecPlan::serial();
+        let tp = run_tbpoint(&bench.run, Some(&profile), &two_phase, &gpu, serial)
+            .expect("two-phase runs");
+        let lv = run_tbpoint(&bench.run, None, &live, &gpu, serial).expect("live runs");
         let actual = format!(
             "{{\"two_phase\":{},\"live\":{}}}",
             to_json(&tp),

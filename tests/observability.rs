@@ -20,8 +20,10 @@ fn traced_and_untraced_runs_are_bit_identical() {
         let profile = profile_run(&bench.run, 2);
         let cfg = TbpointConfig::default();
 
-        let plain = run_tbpoint(&bench.run, &profile, &cfg, &gpu).unwrap();
-        let (traced, traces) = run_tbpoint_traced(&bench.run, &profile, &cfg, &gpu).unwrap();
+        let plan = ExecPlan::serial();
+        let plain = run_tbpoint(&bench.run, Some(&profile), &cfg, &gpu, plan).unwrap();
+        let (traced, traces) =
+            run_tbpoint_traced(&bench.run, Some(&profile), &cfg, &gpu, plan).unwrap();
         assert_eq!(plain, traced, "{name}: tracing changed the result");
         assert!(!traces.is_empty(), "{name}: traced run produced no traces");
         for t in &traces {

@@ -2,10 +2,18 @@
 //! cluster -> sampled simulation -> prediction) against full simulation,
 //! across crates. Tiny scale keeps them fast.
 
-use tbpoint::core::predict::{run_tbpoint, TbpointConfig};
-use tbpoint::emu::profile_run;
+use tbpoint::core::predict::{run_tbpoint, TbpointConfig, TbpointResult};
+use tbpoint::emu::{profile_run, RunProfile};
+use tbpoint::ir::KernelRun;
+use tbpoint::pool::ExecPlan;
 use tbpoint::sim::{simulate_run, GpuConfig, NullSampling};
 use tbpoint::workloads::{all_benchmarks, benchmark_by_name, Scale};
+
+/// The paper-default two-phase pipeline, serial.
+fn paper_default(run: &KernelRun, profile: &RunProfile, gpu: &GpuConfig) -> TbpointResult {
+    let cfg = TbpointConfig::default();
+    run_tbpoint(run, Some(profile), &cfg, gpu, ExecPlan::serial()).unwrap()
+}
 
 /// Any benchmark, full pipeline: the prediction must be finite, the
 /// accounting must conserve instructions, and the error must be sane.
@@ -15,7 +23,7 @@ fn pipeline_invariants_hold_for_every_benchmark() {
     for bench in all_benchmarks(Scale::Tiny) {
         let profile = profile_run(&bench.run, 2);
         let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
-        let tbp = run_tbpoint(&bench.run, &profile, &TbpointConfig::default(), &gpu).unwrap();
+        let tbp = paper_default(&bench.run, &profile, &gpu);
 
         // Instruction conservation: the profile and the full simulation
         // must agree exactly (same walker), and TBPoint's accounting must
@@ -63,7 +71,7 @@ fn savings_structure_matches_kernel_shape() {
     for (name, expect_single) in [("cfd", false), ("stream", false), ("lbm", true)] {
         let bench = benchmark_by_name(name, Scale::Tiny).unwrap();
         let profile = profile_run(&bench.run, 2);
-        let tbp = run_tbpoint(&bench.run, &profile, &TbpointConfig::default(), &gpu).unwrap();
+        let tbp = paper_default(&bench.run, &profile, &gpu);
         if expect_single {
             assert_eq!(tbp.num_launches, 1, "{name}");
             assert_eq!(
@@ -91,7 +99,7 @@ fn regular_kernels_predict_accurately() {
         let bench = benchmark_by_name(name, Scale::Tiny).unwrap();
         let profile = profile_run(&bench.run, 2);
         let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
-        let tbp = run_tbpoint(&bench.run, &profile, &TbpointConfig::default(), &gpu).unwrap();
+        let tbp = paper_default(&bench.run, &profile, &gpu);
         let err = tbp.error_vs(full.overall_ipc());
         assert!(err < 8.0, "{name}: error {err:.2}%");
     }
@@ -106,7 +114,7 @@ fn one_profile_serves_multiple_configs() {
     for (w, s) in [(16u32, 8u32), (48, 14)] {
         let gpu = GpuConfig::with_occupancy(w, s);
         let full = simulate_run(&bench.run, &gpu, &mut NullSampling, None);
-        let tbp = run_tbpoint(&bench.run, &profile, &TbpointConfig::default(), &gpu).unwrap();
+        let tbp = paper_default(&bench.run, &profile, &gpu);
         assert!(
             tbp.error_vs(full.overall_ipc()) < 20.0,
             "W{w}S{s}: error {:.2}%",
@@ -128,7 +136,7 @@ fn null_config_is_exact() {
         intra_enabled: false,
         ..TbpointConfig::default()
     };
-    let tbp = run_tbpoint(&bench.run, &profile, &cfg, &gpu).unwrap();
+    let tbp = run_tbpoint(&bench.run, Some(&profile), &cfg, &gpu, ExecPlan::serial()).unwrap();
     assert!(tbp.error_vs(full.overall_ipc()) < 1e-9);
     assert_eq!(tbp.sample_size(), 1.0);
 }
