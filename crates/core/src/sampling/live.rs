@@ -36,8 +36,8 @@
 //!
 //! Skipped-block instruction counts are *estimates*: exact when the
 //! kernel is block-invariant (identical traces per TB, known from
-//! [`tbpoint_emu::TraceDeps`]), otherwise the running mean instruction
-//! count of the cluster's simulated blocks.
+//! [`tbpoint_emu::TraceDeps::block_invariant`]), otherwise the running
+//! mean instruction count of the cluster's simulated blocks.
 
 use crate::error::{invalid, TbError};
 use serde::{Deserialize, Serialize};
@@ -177,8 +177,9 @@ pub struct LiveSamplerBuilder<'a> {
 
 impl<'a> LiveSamplerBuilder<'a> {
     /// The kernel's traces are identical for every thread block (from
-    /// [`tbpoint_emu::TraceDeps`]): skipped-block instruction counts are
-    /// then *exact*, taken from the first retired block.
+    /// [`tbpoint_emu::TraceDeps::block_invariant`]): skipped-block
+    /// instruction counts are then *exact*, taken from the first retired
+    /// block. Otherwise they are the cluster's running mean.
     pub fn block_invariant(mut self, invariant: bool) -> Self {
         self.block_invariant = invariant;
         self
@@ -679,9 +680,8 @@ mod tests {
     }
 
     fn live_sampler_for<'a>(k: &Kernel, gpu: &GpuConfig, n: u32) -> LiveSampler<'a> {
-        let deps = TraceDeps::of(k);
         LiveSampler::builder(n, gpu.system_occupancy(k))
-            .block_invariant(!deps.per_thread && !deps.per_block)
+            .block_invariant(TraceDeps::of(k).block_invariant())
             .build()
             .unwrap()
     }
@@ -733,9 +733,8 @@ mod tests {
         let k = homogeneous_kernel();
         let gpu = GpuConfig::fermi();
         let sp = spec(3000);
-        let deps = TraceDeps::of(&k);
         let mut sampler = LiveSampler::builder(3000, gpu.system_occupancy(&k))
-            .block_invariant(!deps.per_thread && !deps.per_block)
+            .block_invariant(TraceDeps::of(&k).block_invariant())
             .guard_period(4)
             .build()
             .unwrap();
@@ -753,9 +752,8 @@ mod tests {
         let gpu = GpuConfig::fermi();
         let sp = spec(3000);
         let rec = CollectingRecorder::new();
-        let deps = TraceDeps::of(&k);
         let mut sampler = LiveSampler::builder(3000, gpu.system_occupancy(&k))
-            .block_invariant(!deps.per_thread && !deps.per_block)
+            .block_invariant(TraceDeps::of(&k).block_invariant())
             .recorder(&rec)
             .build()
             .unwrap();

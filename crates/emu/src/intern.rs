@@ -95,6 +95,13 @@ impl TraceDeps {
         deps.phase_lens.dedup();
         deps
     }
+
+    /// True when every thread block of a launch executes the same
+    /// instruction stream: no decision reads the per-block or per-thread
+    /// rng streams, and no trip count depends on the block's phase.
+    pub fn block_invariant(&self) -> bool {
+        !self.per_thread && !self.per_block && self.phase_lens.is_empty()
+    }
 }
 
 /// The exact trace-relevant inputs of one warp, under a fixed
@@ -359,6 +366,18 @@ mod tests {
         assert!(TraceDeps::of(&per_block_kernel()).per_block);
         assert!(TraceDeps::of(&per_thread_kernel()).per_thread);
         assert_eq!(TraceDeps::of(&phase_kernel()).phase_lens, vec![8]);
+    }
+
+    #[test]
+    fn only_rng_free_phase_free_kernels_are_block_invariant() {
+        assert!(TraceDeps::of(&regular_kernel()).block_invariant());
+        assert!(!TraceDeps::of(&per_block_kernel()).block_invariant());
+        assert!(!TraceDeps::of(&per_thread_kernel()).block_invariant());
+        // Phase trip counts read no rng stream, but blocks in different
+        // phases still run different instruction counts.
+        let phase = TraceDeps::of(&phase_kernel());
+        assert!(!phase.per_block && !phase.per_thread);
+        assert!(!phase.block_invariant());
     }
 
     #[test]
