@@ -1,8 +1,9 @@
 //! Content-addressed warp-trace interning.
 //!
-//! `SmCore::dispatch` used to re-emulate a full [`WarpTrace`] for every
-//! warp of every dispatched block, even though regular kernels (stream,
-//! conv rows of Table VI) produce one identical trace per warp shape.
+//! `SmCore::dispatch` used to re-emulate a full
+//! [`WarpTrace`](crate::WarpTrace) for every warp of every dispatched
+//! block, even though regular kernels (stream, conv rows of Table VI)
+//! produce one identical trace per warp shape.
 //! A [`TraceArena`] memoises traces behind `Arc<[TraceInst]>` for the
 //! duration of one launch, so identical warps share a single allocation.
 //!

@@ -7,7 +7,7 @@
 //! API for the TBPoint workspace.
 //!
 //! TBPoint's pipelines are piles of *independent* work items — launches
-//! inside [`run_tbpoint`](../tbpoint_core/predict/fn.run_tbpoint.html),
+//! inside `tbpoint_core::run_tbpoint`,
 //! benchmarks inside a sweep, config points inside an ablation. This
 //! crate is the workspace's one parallel axis: whole launches and whole
 //! sweep units scheduled across worker threads; each launch's cycle loop
@@ -29,7 +29,7 @@
 //!   (zero or unparseable requests) surface as structured
 //!   [`tbpoint_obs::EventKind::ExecPlanAdjusted`] events instead of
 //!   free-form stderr prints.
-//! * [`unit`] — the [`SweepUnit`] trait (id, run, serializable output)
+//! * [`unit`](mod@unit) — the [`SweepUnit`] trait (id, run, serializable output)
 //!   shared by the pool, the crash-safe resume manifest, and the
 //!   future serve layer.
 
