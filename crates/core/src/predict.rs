@@ -231,7 +231,11 @@ pub struct TbpointResult {
     pub predicted_ipc: f64,
     /// Warp instructions actually simulated.
     pub simulated_warp_insts: u64,
-    /// Total warp instructions in the workload.
+    /// Total warp instructions in the workload: the profile's count in
+    /// two-phase mode. In live mode it is an estimate, exact only for
+    /// block- and launch-invariant kernels (the live inter-launch
+    /// grouping treats launches with equal specs as equal work; see
+    /// DESIGN.md, "Live inter-launch grouping").
     pub total_warp_insts: u64,
     /// Predicted total cycles.
     pub predicted_total_cycles: f64,
@@ -1259,6 +1263,25 @@ mod tests {
         );
         // Block-invariant kernel: the estimate is exact, so the total
         // matches what a profile would report.
+        let profile = profile_run(&run, 2);
+        let exact: u64 = profile.launches.iter().map(|l| l.warp_insts()).sum();
+        assert_eq!(result.total_warp_insts, exact);
+    }
+
+    #[test]
+    fn live_spec_classes_are_exact_on_block_invariant_kernels() {
+        // Live grouping merges launches with equal (num_blocks,
+        // work_scale). On a block- and launch-invariant kernel that is
+        // exact: four spec classes over six launches, and the merged
+        // launches reproduce the profile's total to the instruction.
+        let mut run = homogeneous_run(6, 300);
+        for (i, spec) in run.launches.iter_mut().enumerate() {
+            spec.num_blocks = [300, 450][i % 2];
+            spec.work_scale = [1.0, 1.0, 2.0][i % 3];
+        }
+        let result = live(&run, &live_cfg()).unwrap();
+        assert_eq!(result.num_simulated_launches, 4);
+        assert!(result.breakdown.inter_skipped_warp_insts > 0);
         let profile = profile_run(&run, 2);
         let exact: u64 = profile.launches.iter().map(|l| l.warp_insts()).sum();
         assert_eq!(result.total_warp_insts, exact);
