@@ -436,16 +436,16 @@ fn validate_launch_profile(spec: &LaunchSpec, lp: &LaunchProfile) -> Result<(), 
     Ok(())
 }
 
-/// Run one launch simulation under the optional cycle-budget watchdog.
+/// Simulate launch `rep` under the optional cycle-budget watchdog.
 fn simulate_guarded<R: Recorder>(
     run: &KernelRun,
-    spec: &LaunchSpec,
+    rep: usize,
     gpu: &GpuConfig,
     hook: &mut dyn SamplingHook,
     cycle_budget: Option<u64>,
-    rep: usize,
     rec: &R,
 ) -> Result<tbpoint_sim::LaunchSimResult, TbError> {
+    let spec = &run.launches[rep];
     match cycle_budget {
         Some(budget) => {
             let mut guard = CycleBudgetHook::new(hook, budget);
@@ -504,15 +504,7 @@ fn simulate_rep<R: Recorder>(
     // (simulation, skipped insts, their predicted cycles, sampler degraded)
     let (r, skipped, skipped_cycles, sampler_degraded) = match source {
         _ if !cfg.intra_enabled || profile_invalid => {
-            let r = simulate_guarded(
-                run,
-                spec,
-                gpu,
-                &mut NullSampling,
-                cfg.cycle_budget,
-                rep,
-                rec,
-            )?;
+            let r = simulate_guarded(run, rep, gpu, &mut NullSampling, cfg.cycle_budget, rec)?;
             (r, 0, 0.0, false)
         }
         Source::Profile(profile) => {
@@ -526,7 +518,7 @@ fn simulate_rep<R: Recorder>(
                 .warming_budget(cfg.warming_budget)
                 .recorder(rec)
                 .build()?;
-            let r = simulate_guarded(run, spec, gpu, &mut sampler, cfg.cycle_budget, rep, rec)?;
+            let r = simulate_guarded(run, rep, gpu, &mut sampler, cfg.cycle_budget, rec)?;
             let o = sampler.outcome();
             let degraded = o.degraded_regions > 0;
             (
@@ -549,7 +541,7 @@ fn simulate_rep<R: Recorder>(
                 .destab_tolerance(cfg.live_destab_tolerance)
                 .recorder(rec)
                 .build()?;
-            let r = simulate_guarded(run, spec, gpu, &mut sampler, cfg.cycle_budget, rep, rec)?;
+            let r = simulate_guarded(run, rep, gpu, &mut sampler, cfg.cycle_budget, rec)?;
             let o = sampler.outcome();
             let degraded = o.degraded_regions > 0;
             (
