@@ -160,16 +160,25 @@ fn parse_args() -> Args {
                 });
             }
             "--samples" => {
-                args.samples = it.next().and_then(|v| v.parse().ok()).unwrap_or(10_000);
+                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
+                    eprintln!("--samples needs a positive integer");
+                    std::process::exit(2);
+                };
+                args.samples = n;
             }
             "--threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(args.threads);
+                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
+                    eprintln!("--threads needs a thread count");
+                    std::process::exit(2);
+                };
+                args.threads = n;
             }
             "--artifacts" => {
-                args.artifacts = PathBuf::from(it.next().unwrap_or_default());
+                let Some(v) = it.next() else {
+                    eprintln!("--artifacts needs a path");
+                    std::process::exit(2);
+                };
+                args.artifacts = PathBuf::from(v);
             }
             "--trace-out" => {
                 let Some(v) = it.next() else {

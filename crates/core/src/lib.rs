@@ -41,8 +41,9 @@
 //!
 //! One entry point, [`run_tbpoint`] (and its tracing twin
 //! [`run_tbpoint_traced`]), runs whichever mode the config selects and
-//! returns [`TbError`] on invalid configs or mismatched profiles;
-//! samplers are built with [`RegionSamplerBuilder`] and report into a
+//! returns [`TbError`] on invalid configs or mismatched profiles. Both
+//! samplers ([`RegionSampler::new`], [`LiveSampler::new`]) are built from
+//! a [`TbpointConfig`], share one warming engine and report into a
 //! [`tbpoint_obs::Recorder`].
 
 #![forbid(unsafe_code)]
@@ -63,6 +64,6 @@ pub use predict::{
 };
 #[doc(hidden)]
 pub use predict::{run_tbpoint_live_plan, run_tbpoint_plan};
-pub use sampling::live::{LiveOutcome, LiveSampler, LiveSamplerBuilder};
-pub use sampling::{IntraOutcome, RegionSampler, RegionSamplerBuilder};
+pub use sampling::live::{LiveOutcome, LiveSampler};
+pub use sampling::{IntraOutcome, RegionSampler};
 pub use tbpoint_pool::ExecPlan;

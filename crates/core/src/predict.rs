@@ -29,7 +29,7 @@ use crate::error::{invalid, TbError};
 use crate::inter::{inter_launch_sample, InterConfig, InterResult};
 use crate::intra::{build_epochs, identify_regions, IntraConfig};
 use crate::sampling::live::LiveSampler;
-use crate::sampling::RegionSampler;
+use crate::sampling::{IntraOutcome, RegionSampler};
 use serde::{Deserialize, Serialize};
 use tbpoint_cluster::Clustering;
 use tbpoint_emu::LaunchProfile;
@@ -124,18 +124,31 @@ impl Default for TbpointConfig {
 
 impl TbpointConfig {
     /// Check every field the pipeline depends on, naming the first
-    /// offender. Called by [`run_tbpoint`]; call it yourself to validate
-    /// user input early.
+    /// offender. This is the one place the fields are checked: it is
+    /// called by [`run_tbpoint`] and by both sampler constructors
+    /// ([`crate::RegionSampler::new`], [`crate::LiveSampler::new`]); call
+    /// it yourself to validate user input early.
     ///
     /// # Errors
     ///
-    /// [`TbError::InvalidConfig`] when a clustering σ is non-finite or
-    /// non-positive, the variation factor is negative, the warming
-    /// threshold is non-finite or non-positive, `unit_tb_span` is zero,
-    /// or `warming_window` is below 2. Parallelism lives outside this
-    /// config — see [`tbpoint_pool::ExecPlan`] and [`run_tbpoint`] —
-    /// because results are bit-identical at any worker count, so the
-    /// worker count is an execution concern, not a result-affecting one.
+    /// [`TbError::InvalidConfig`] naming the first of these that fails:
+    ///
+    /// * `inter.sigma` is non-finite or non-positive;
+    /// * `inter.algo.max_k` is zero (k-means + BIC only);
+    /// * `intra.sigma` is non-finite or non-positive;
+    /// * `intra.variation_factor` is non-finite or negative;
+    /// * `warming_threshold` is non-finite or non-positive;
+    /// * `unit_tb_span` is zero;
+    /// * `warming_window` is below 2;
+    /// * `warming_budget` is set below `warming_window`;
+    /// * `cycle_budget` is set to zero;
+    /// * `live_min_run` or `live_guard_period` is zero;
+    /// * `live_destab_tolerance` is non-finite or non-positive.
+    ///
+    /// Parallelism lives outside this config — see
+    /// [`tbpoint_pool::ExecPlan`] and [`run_tbpoint`] — because results
+    /// are bit-identical at any worker count, so the worker count is an
+    /// execution concern, not a result-affecting one.
     pub fn validate(&self) -> Result<(), TbError> {
         self.inter.validate()?;
         self.intra.validate()?;
@@ -501,63 +514,32 @@ fn simulate_rep<R: Recorder>(
         );
     }
 
-    // (simulation, skipped insts, their predicted cycles, sampler degraded)
-    let (r, skipped, skipped_cycles, sampler_degraded) = match source {
+    let (r, intra) = match source {
         _ if !cfg.intra_enabled || profile_invalid => {
             let r = simulate_guarded(run, rep, gpu, &mut NullSampling, cfg.cycle_budget, rec)?;
-            (r, 0, 0.0, false)
+            (r, IntraOutcome::default())
         }
         Source::Profile(profile) => {
             let lp = &profile.launches[rep];
             let epochs = build_epochs(lp, occupancy);
             let table = identify_regions(&epochs, &cfg.intra);
-            let mut sampler = RegionSampler::builder(&table, lp)
-                .threshold(cfg.warming_threshold)
-                .unit_tb_span(cfg.unit_tb_span)
-                .warming_window(cfg.warming_window)
-                .warming_budget(cfg.warming_budget)
-                .recorder(rec)
-                .build()?;
+            let mut sampler = RegionSampler::new(&table, lp, cfg, rec)?;
             let r = simulate_guarded(run, rep, gpu, &mut sampler, cfg.cycle_budget, rec)?;
-            let o = sampler.outcome();
-            let degraded = o.degraded_regions > 0;
-            (
-                r,
-                o.skipped_warp_insts,
-                o.predicted_skipped_cycles,
-                degraded,
-            )
+            (r, sampler.outcome())
         }
         Source::Live { block_invariant } => {
-            let mut sampler = LiveSampler::builder(spec.num_blocks, occupancy)
-                .block_invariant(block_invariant)
-                .sigma(cfg.intra.sigma)
-                .threshold(cfg.warming_threshold)
-                .unit_tb_span(cfg.unit_tb_span)
-                .warming_window(cfg.warming_window)
-                .warming_budget(cfg.warming_budget)
-                .min_run(cfg.live_min_run)
-                .guard_period(cfg.live_guard_period)
-                .destab_tolerance(cfg.live_destab_tolerance)
-                .recorder(rec)
-                .build()?;
+            let mut sampler =
+                LiveSampler::new(spec.num_blocks, occupancy, block_invariant, cfg, rec)?;
             let r = simulate_guarded(run, rep, gpu, &mut sampler, cfg.cycle_budget, rec)?;
-            let o = sampler.outcome();
-            let degraded = o.degraded_regions > 0;
-            (
-                r,
-                o.skipped_warp_insts,
-                o.predicted_skipped_cycles,
-                degraded,
-            )
+            (r, sampler.outcome().intra)
         }
     };
 
     let launch_insts = match source {
         Source::Profile(profile) if !profile_invalid => profile.launches[rep].warp_insts(),
-        _ => r.issued_warp_insts + skipped,
+        _ => r.issued_warp_insts + intra.skipped_warp_insts,
     };
-    let predicted_cycles = r.cycles as f64 + skipped_cycles;
+    let predicted_cycles = r.cycles as f64 + intra.predicted_skipped_cycles;
     let predicted_ipc = if predicted_cycles > 0.0 {
         launch_insts as f64 / predicted_cycles
     } else {
@@ -565,11 +547,11 @@ fn simulate_rep<R: Recorder>(
     };
     Ok(RepSim {
         issued: r.issued_warp_insts,
-        skipped_insts: skipped,
+        skipped_insts: intra.skipped_warp_insts,
         sim_cycles: r.cycles,
         predicted_cycles,
         predicted_ipc,
-        degraded: profile_invalid || sampler_degraded,
+        degraded: profile_invalid || intra.degraded_regions > 0,
     })
 }
 
@@ -787,6 +769,7 @@ pub fn run_tbpoint_live_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inter::InterAlgo;
     use tbpoint_emu::profile_run;
     use tbpoint_ir::{
         AddrPattern, Dist, KernelBuilder, KernelRun, LaunchId, LaunchSpec, Op, TripCount,
@@ -944,51 +927,132 @@ mod tests {
     }
 
     #[test]
-    fn nonsense_config_is_rejected_up_front() {
-        let run = homogeneous_run(2, 10);
+    fn every_validated_field_is_rejected_in_its_mode() {
+        // One row per field `TbpointConfig::validate` names, each run
+        // through `run_tbpoint` in every mode that reads it.
+        let run = homogeneous_run(1, 10);
         let profile = profile_run(&run, 1);
-
-        let zero_span = TbpointConfig {
-            unit_tb_span: 0,
-            ..Default::default()
-        };
-        let err = two_phase(&run, &profile, &zero_span).unwrap_err();
-        assert!(matches!(
-            err,
-            TbError::InvalidConfig {
-                field: "unit_tb_span",
-                ..
+        let both = [SamplingMode::TwoPhase, SamplingMode::Live];
+        let live_only = [SamplingMode::Live];
+        let d = TbpointConfig::default();
+        let cases: [(&str, TbpointConfig, &[SamplingMode]); 12] = [
+            (
+                "inter.sigma",
+                TbpointConfig {
+                    inter: InterConfig {
+                        sigma: f64::NAN,
+                        ..d.inter
+                    },
+                    ..d
+                },
+                &both,
+            ),
+            (
+                "inter.algo.max_k",
+                TbpointConfig {
+                    inter: InterConfig {
+                        algo: InterAlgo::KMeansBic { max_k: 0 },
+                        ..d.inter
+                    },
+                    ..d
+                },
+                &both,
+            ),
+            (
+                "intra.sigma",
+                TbpointConfig {
+                    intra: IntraConfig {
+                        sigma: f64::NAN,
+                        ..d.intra
+                    },
+                    ..d
+                },
+                &both,
+            ),
+            (
+                "intra.variation_factor",
+                TbpointConfig {
+                    intra: IntraConfig {
+                        variation_factor: -0.1,
+                        ..d.intra
+                    },
+                    ..d
+                },
+                &both,
+            ),
+            (
+                "warming_threshold",
+                TbpointConfig {
+                    warming_threshold: -0.1,
+                    ..d
+                },
+                &both,
+            ),
+            (
+                "unit_tb_span",
+                TbpointConfig {
+                    unit_tb_span: 0,
+                    ..d
+                },
+                &both,
+            ),
+            (
+                "warming_window",
+                TbpointConfig {
+                    warming_window: 1,
+                    ..d
+                },
+                &both,
+            ),
+            (
+                "warming_budget",
+                TbpointConfig {
+                    warming_budget: Some(1),
+                    ..d
+                },
+                &both,
+            ),
+            (
+                "cycle_budget",
+                TbpointConfig {
+                    cycle_budget: Some(0),
+                    ..d
+                },
+                &both,
+            ),
+            (
+                "live_min_run",
+                TbpointConfig {
+                    live_min_run: 0,
+                    ..d
+                },
+                &live_only,
+            ),
+            (
+                "live_guard_period",
+                TbpointConfig {
+                    live_guard_period: 0,
+                    ..d
+                },
+                &live_only,
+            ),
+            (
+                "live_destab_tolerance",
+                TbpointConfig {
+                    live_destab_tolerance: f64::NAN,
+                    ..d
+                },
+                &live_only,
+            ),
+        ];
+        for (field, cfg, modes) in cases {
+            for &mode in modes {
+                let cfg = TbpointConfig { mode, ..cfg };
+                let profile = (mode == SamplingMode::TwoPhase).then_some(&profile);
+                let r = run_tbpoint(&run, profile, &cfg, &GpuConfig::fermi(), ExecPlan::serial());
+                assert_invalid(r, field);
             }
-        ));
-
-        let bad_threshold = TbpointConfig {
-            warming_threshold: -0.1,
-            ..Default::default()
-        };
-        let err = two_phase(&run, &profile, &bad_threshold).unwrap_err();
-        assert!(matches!(
-            err,
-            TbError::InvalidConfig {
-                field: "warming_threshold",
-                ..
-            }
-        ));
-
-        let bad_sigma = TbpointConfig {
-            inter: InterConfig {
-                sigma: f64::NAN,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let err = bad_sigma.validate().unwrap_err();
-        assert!(matches!(
-            err,
-            TbError::InvalidConfig {
-                field: "inter.sigma",
-                ..
-            }
-        ));
+        }
     }
 
     #[test]
@@ -1101,32 +1165,6 @@ mod tests {
         let guarded = two_phase(&run, &profile, &roomy).unwrap();
         let plain = two_phase(&run, &profile, &TbpointConfig::default()).unwrap();
         assert_eq!(guarded, plain);
-    }
-
-    #[test]
-    fn resilience_config_fields_are_validated() {
-        let bad_budget = TbpointConfig {
-            warming_budget: Some(1),
-            ..Default::default()
-        };
-        assert!(matches!(
-            bad_budget.validate().unwrap_err(),
-            TbError::InvalidConfig {
-                field: "warming_budget",
-                ..
-            }
-        ));
-        let zero_cycles = TbpointConfig {
-            cycle_budget: Some(0),
-            ..Default::default()
-        };
-        assert!(matches!(
-            zero_cycles.validate().unwrap_err(),
-            TbError::InvalidConfig {
-                field: "cycle_budget",
-                ..
-            }
-        ));
     }
 
     #[test]
@@ -1349,40 +1387,6 @@ mod tests {
                 budget_cycles: 1
             }
         );
-    }
-
-    #[test]
-    fn live_config_knobs_are_validated() {
-        let run = homogeneous_run(1, 10);
-        for (cfg, field) in [
-            (
-                TbpointConfig {
-                    live_min_run: 0,
-                    ..live_cfg()
-                },
-                "live_min_run",
-            ),
-            (
-                TbpointConfig {
-                    live_guard_period: 0,
-                    ..live_cfg()
-                },
-                "live_guard_period",
-            ),
-            (
-                TbpointConfig {
-                    live_destab_tolerance: f64::NAN,
-                    ..live_cfg()
-                },
-                "live_destab_tolerance",
-            ),
-        ] {
-            let err = live(&run, &cfg).unwrap_err();
-            match err {
-                TbError::InvalidConfig { field: f, .. } => assert_eq!(f, field),
-                other => panic!("unexpected error {other:?}"),
-            }
-        }
     }
 
     #[test]

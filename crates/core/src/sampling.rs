@@ -15,19 +15,24 @@
 //!   last warm unit's IPC. A dispatch from a different region (or from no
 //!   region) *exits* back to Outside.
 //!
-//! Samplers are built with [`RegionSampler::builder`]; every state
-//! transition is reported to the attached [`tbpoint_obs::Recorder`]
-//! (the default [`tbpoint_obs::NullRecorder`] makes that free).
+//! The warming half — the unit clock, the convergence test and the
+//! warming budget — is one private engine that [`RegionSampler`] and the
+//! live [`live::LiveSampler`] both drive; they differ only in what they
+//! enter (an offline region or an online epoch cluster). Samplers are
+//! built from a [`TbpointConfig`]; every state transition is reported to
+//! the attached [`tbpoint_obs::Recorder`] (a [`tbpoint_obs::NullRecorder`]
+//! makes that free).
 
 pub mod live;
 
-use crate::error::{invalid, TbError};
+use crate::error::TbError;
 use crate::intra::RegionTable;
+use crate::predict::TbpointConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use tbpoint_emu::LaunchProfile;
 use tbpoint_ir::TbId;
-use tbpoint_obs::{DegradeReason, EventKind, NullRecorder, Recorder};
+use tbpoint_obs::{DegradeReason, EventKind, Recorder};
 use tbpoint_sim::{DispatchDecision, SamplingHook};
 
 /// Accounting produced by one sampled launch.
@@ -36,58 +41,67 @@ pub struct IntraOutcome {
     /// Thread blocks skipped during fast-forward periods.
     pub skipped_tbs: u32,
     /// Warp instructions belonging to skipped thread blocks (from the
-    /// profile; they were never issued).
+    /// profile; they were never issued). Live mode estimates them: exact
+    /// for block-invariant kernels, the cluster's running mean otherwise.
     pub skipped_warp_insts: u64,
     /// Predicted cycles those instructions would have taken, from the
     /// last warm sampling unit's IPC (Table IV's intra-launch term).
     pub predicted_skipped_cycles: f64,
     /// Sampling units completed (diagnostic).
     pub units_observed: u32,
-    /// Regions entered (diagnostic).
+    /// Warming phases entered: regions, or online clusters in live mode
+    /// (diagnostic).
     pub regions_entered: u32,
-    /// Regions abandoned because their IPC failed to stabilise within
-    /// the warming budget (each abandonment is a `DegradedMode` event;
-    /// the abandoned region's blocks are simulated in detail).
+    /// Regions (or live clusters) abandoned because their IPC failed to
+    /// stabilise within the warming budget (each abandonment is a
+    /// `DegradedMode` event; the abandoned blocks are simulated in
+    /// detail).
     pub degraded_regions: u32,
 }
 
+impl IntraOutcome {
+    /// Account one fast-forwarded block of `warp_insts` instructions,
+    /// predicting its cycles at the warm unit IPC `ipc`.
+    fn skip(&mut self, rec: &dyn Recorder, cycle: u64, tb: TbId, warp_insts: u64, ipc: f64) {
+        self.skipped_tbs += 1;
+        self.skipped_warp_insts += warp_insts;
+        if ipc > 0.0 {
+            self.predicted_skipped_cycles += warp_insts as f64 / ipc;
+        }
+        rec.record(
+            cycle,
+            EventKind::BlockSkipped {
+                tb: tb.0,
+                warp_insts,
+            },
+        );
+    }
+
+    /// Account a region (or live cluster) whose warming budget ran out.
+    fn abandon(&mut self, rec: &dyn Recorder, cycle: u64, region: u32) {
+        self.degraded_regions += 1;
+        rec.record(
+            cycle,
+            EventKind::DegradedMode {
+                reason: DegradeReason::WarmingBudgetExceeded { region },
+            },
+        );
+    }
+}
+
+/// Where a sampler stands in Fig. 7. `id` is the region (two-phase) or
+/// the online cluster (live) being warmed or fast-forwarded.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum State {
     Outside,
     Warming(u32),
-    FastForward { region: u32, ipc: f64 },
-}
-
-/// The intra-launch sampling hook. Borrow one region table + profile per
-/// launch; plug into [`tbpoint_sim::simulate_launch`].
-///
-/// Construct with [`RegionSampler::new`] (paper defaults) or
-/// [`RegionSampler::builder`] for anything else.
-pub struct RegionSampler<'a> {
-    table: &'a RegionTable,
-    profile: &'a LaunchProfile,
-    warming_threshold: f64,
-    unit_tb_span: u32,
-    warming_window: usize,
-    warming_budget: Option<u32>,
-    recorder: &'a dyn Recorder,
-    state: State,
-    resident: BTreeSet<u32>,
-    resident_region: Option<u32>, // cached "all residents in this region"
-    abandoned: BTreeSet<u32>,     // regions whose warming budget ran out
-    designated: Option<u32>,
-    need_designation: bool,
-    unit_tbs_retired: u32,
-    unit_start_cycle: u64,
-    unit_start_insts: u64,
-    warm_ipcs: Vec<f64>,
-    outcome: IntraOutcome,
+    FastForward { id: u32, ipc: f64 },
 }
 
 /// Default number of trailing sampling units that must agree pairwise
 /// within the warming threshold before fast-forwarding begins. The paper
-/// compares two consecutive units; see the inline comment in `on_retire`
-/// for why the scaled substrate uses three.
+/// compares two consecutive units; see `Warmer::warm` for why the
+/// scaled substrate uses three.
 pub const WARMING_WINDOW: usize = 3;
 
 /// How many consecutive designated-TB lifetimes make one sampling unit.
@@ -97,152 +111,164 @@ pub const WARMING_WINDOW: usize = 3;
 /// in minutes), which makes one TB lifetime shorter than the simulator's
 /// queue/cache warm-up transient — consecutive raw units then agree to
 /// within 10% while still riding the transient, and fast-forwarding locks
-/// in a biased IPC. Spanning a unit over three designated TBs restores
+/// in a biased IPC. Spanning a unit over two designated TBs restores
 /// the paper's unit-length-to-warm-up ratio (two lifetimes suffice once
 /// the simulator's dispatch stagger removes the lockstep start).
 /// Recorded in DESIGN.md.
 pub const DEFAULT_UNIT_TB_SPAN: u32 = 2;
 
-/// Builder for [`RegionSampler`] — replaces the old positional
-/// `with_options` constructor. Settings left untouched keep the paper's
-/// defaults; [`RegionSamplerBuilder::build`] validates and reports
-/// nonsense values as [`TbError::InvalidConfig`] instead of silently
-/// clamping them.
-pub struct RegionSamplerBuilder<'a> {
-    table: &'a RegionTable,
-    profile: &'a LaunchProfile,
-    threshold: f64,
-    unit_tb_span: u32,
-    warming_window: usize,
-    warming_budget: Option<u32>,
-    recorder: &'a dyn Recorder,
+/// What one closed unit did to a warming phase ([`Warmer::warm`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Warmth {
+    /// Not converged yet; keep warming.
+    Pending,
+    /// The trailing window agrees: start fast-forwarding.
+    Stable,
+    /// The warming budget ran out without convergence: abandon.
+    Exhausted,
 }
 
-impl<'a> RegionSamplerBuilder<'a> {
-    /// Warming convergence threshold (paper: 0.10). Must be finite and
-    /// positive.
-    pub fn threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
-    }
+/// The warming half of Fig. 7, shared by both samplers: the
+/// designated-TB unit clock, the trailing-window convergence test and
+/// the warming budget. The sampler decides when a warming phase starts
+/// ([`Warmer::reset`]) and what to do with each verdict.
+struct Warmer {
+    threshold: f64,
+    unit_tb_span: u32,
+    window: usize,
+    budget: Option<u32>,
+    /// The block whose lifetime the current unit is timing; `None` until
+    /// the next simulated dispatch takes over.
+    designated: Option<u32>,
+    unit_tbs_retired: u32,
+    unit_start_cycle: u64,
+    unit_start_insts: u64,
+    /// Unit IPCs of the current warming phase.
+    ipcs: Vec<f64>,
+}
 
-    /// Designated-TB lifetimes per sampling unit (see
-    /// [`DEFAULT_UNIT_TB_SPAN`]). Must be at least 1.
-    pub fn unit_tb_span(mut self, span: u32) -> Self {
-        self.unit_tb_span = span;
-        self
-    }
-
-    /// Trailing units that must agree pairwise before fast-forwarding
-    /// (see [`WARMING_WINDOW`]). Must be at least 2.
-    pub fn warming_window(mut self, window: usize) -> Self {
-        self.warming_window = window;
-        self
-    }
-
-    /// Bound the warming phase: if a region's per-unit IPC has not
-    /// converged after this many closed units, the region is *abandoned*
-    /// — a `DegradedMode` event is emitted and all of its blocks are
-    /// simulated in detail (graceful degradation instead of
-    /// fast-forwarding on an IPC that never stabilised). `None` (the
-    /// default, and the paper's behaviour) warms indefinitely.
-    pub fn warming_budget(mut self, budget: Option<u32>) -> Self {
-        self.warming_budget = budget;
-        self
-    }
-
-    /// Attach a [`Recorder`]; every region entry/exit, unit close,
-    /// fast-forward start and skipped block is reported to it. The
-    /// default is the free [`NullRecorder`].
-    pub fn recorder(mut self, recorder: &'a dyn Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Validate the settings and build the sampler.
-    ///
-    /// # Errors
-    ///
-    /// [`TbError::InvalidConfig`] naming the offending field when the
-    /// threshold is non-finite or non-positive, `unit_tb_span` is zero,
-    /// or `warming_window` is below 2.
-    pub fn build(self) -> Result<RegionSampler<'a>, TbError> {
-        if !self.threshold.is_finite() || self.threshold <= 0.0 {
-            return Err(invalid(
-                "warming_threshold",
-                format!("must be finite and positive (got {})", self.threshold),
-            ));
-        }
-        if self.unit_tb_span == 0 {
-            return Err(invalid("unit_tb_span", "must be at least 1 (got 0)"));
-        }
-        if self.warming_window < 2 {
-            return Err(invalid(
-                "warming_window",
-                format!(
-                    "needs at least 2 units to compare (got {})",
-                    self.warming_window
-                ),
-            ));
-        }
-        if let Some(budget) = self.warming_budget {
-            if (budget as usize) < self.warming_window {
-                return Err(invalid(
-                    "warming_budget",
-                    format!(
-                        "must allow at least warming_window = {} units (got {budget})",
-                        self.warming_window
-                    ),
-                ));
-            }
-        }
-        Ok(RegionSampler {
-            table: self.table,
-            profile: self.profile,
-            warming_threshold: self.threshold,
-            unit_tb_span: self.unit_tb_span,
-            warming_window: self.warming_window,
-            warming_budget: self.warming_budget,
-            recorder: self.recorder,
-            state: State::Outside,
-            resident: BTreeSet::new(),
-            resident_region: None,
-            abandoned: BTreeSet::new(),
+impl Warmer {
+    fn new(cfg: &TbpointConfig) -> Self {
+        Warmer {
+            threshold: cfg.warming_threshold,
+            unit_tb_span: cfg.unit_tb_span,
+            window: cfg.warming_window,
+            budget: cfg.warming_budget,
             designated: None,
-            need_designation: true,
             unit_tbs_retired: 0,
             unit_start_cycle: 0,
             unit_start_insts: 0,
-            warm_ipcs: Vec::new(),
-            outcome: IntraOutcome::default(),
-        })
+            ipcs: Vec::new(),
+        }
+    }
+
+    /// Block `tb` is simulated: it becomes the designated TB if the
+    /// previous one has retired.
+    fn on_simulate(&mut self, tb: TbId, cycle: u64, issued: u64) {
+        if self.designated.is_none() {
+            self.designated = Some(tb.0);
+            // The unit's clock starts with its first designated TB only;
+            // later designated TBs extend the same unit.
+            if self.unit_tbs_retired == 0 {
+                self.unit_start_cycle = cycle;
+                self.unit_start_insts = issued;
+            }
+        }
+    }
+
+    /// Block `tb` retired. Returns the IPC of the sampling unit this
+    /// closes, if any: a unit closes after `unit_tb_span` designated-TB
+    /// lifetimes, and one that measured nothing yields no IPC.
+    fn on_retire(&mut self, tb: TbId, cycle: u64, issued: u64) -> Option<f64> {
+        if self.designated != Some(tb.0) {
+            return None;
+        }
+        self.designated = None;
+        self.unit_tbs_retired += 1;
+        if self.unit_tbs_retired < self.unit_tb_span {
+            return None;
+        }
+        self.unit_tbs_retired = 0;
+        let cycles = cycle.saturating_sub(self.unit_start_cycle);
+        let insts = issued.saturating_sub(self.unit_start_insts);
+        (cycles > 0 && insts > 0).then(|| insts as f64 / cycles as f64)
+    }
+
+    /// Feed one closed unit's IPC to the current warming phase.
+    ///
+    /// The paper declares the caches stable when the current and previous
+    /// units agree within the threshold. Our scaled substrate drifts
+    /// monotonically in sub-threshold steps during its (relatively much
+    /// longer) queue warm-up, so we additionally require the unit BEFORE
+    /// the pair to agree — i.e. the last `window` units must be pairwise
+    /// within the band, which rejects a sustained trend. A phase still not
+    /// converged after `budget` units is exhausted: its IPC is not
+    /// trustworthy, so the sampler keeps its blocks on the detailed path
+    /// (graceful degradation) instead of fast-forwarding.
+    fn warm(&mut self, ipc: f64) -> Warmth {
+        self.ipcs.push(ipc);
+        let n = self.ipcs.len();
+        if n >= self.window {
+            let window = &self.ipcs[n - self.window..];
+            let lo = window.iter().cloned().fold(f64::INFINITY, f64::min);
+            let hi = window.iter().cloned().fold(0.0f64, f64::max);
+            if lo > 0.0 && (hi - lo) / lo < self.threshold {
+                return Warmth::Stable;
+            }
+        }
+        match self.budget {
+            Some(budget) if n >= budget as usize => Warmth::Exhausted,
+            _ => Warmth::Pending,
+        }
+    }
+
+    /// Start a new warming phase: forget the previous phase's unit IPCs.
+    /// The unit clock keeps running across phases.
+    fn reset(&mut self) {
+        self.ipcs.clear();
     }
 }
 
-impl<'a> RegionSampler<'a> {
-    /// New sampler with the paper's defaults (10% warming threshold,
-    /// [`DEFAULT_UNIT_TB_SPAN`], [`WARMING_WINDOW`], no recorder).
-    pub fn new(table: &'a RegionTable, profile: &'a LaunchProfile) -> Self {
-        // The defaults are valid by construction: 0.10 is finite and
-        // positive, DEFAULT_UNIT_TB_SPAN >= 1, WARMING_WINDOW >= 2.
-        match Self::builder(table, profile).build() {
-            Ok(s) => s,
-            // tbpoint-lint: allow(no-panic-in-library)
-            Err(_) => unreachable!("paper defaults are always valid"),
-        }
-    }
+/// The intra-launch sampling hook. Borrow one region table + profile per
+/// launch; plug into [`tbpoint_sim::simulate_launch`].
+pub struct RegionSampler<'a> {
+    table: &'a RegionTable,
+    profile: &'a LaunchProfile,
+    recorder: &'a dyn Recorder,
+    warmer: Warmer,
+    state: State,
+    resident: BTreeSet<u32>,
+    abandoned: BTreeSet<u32>, // regions whose warming budget ran out
+    outcome: IntraOutcome,
+}
 
-    /// Start building a sampler with non-default settings.
-    pub fn builder(table: &'a RegionTable, profile: &'a LaunchProfile) -> RegionSamplerBuilder<'a> {
-        RegionSamplerBuilder {
+impl<'a> RegionSampler<'a> {
+    /// A sampler for the launch whose region table is `table` and whose
+    /// profile is `profile`, warming as `cfg` says and reporting every
+    /// region entry/exit, unit close, fast-forward start and skipped
+    /// block to `recorder`.
+    ///
+    /// # Errors
+    ///
+    /// [`TbError::InvalidConfig`] when [`TbpointConfig::validate`]
+    /// rejects `cfg`.
+    pub fn new(
+        table: &'a RegionTable,
+        profile: &'a LaunchProfile,
+        cfg: &TbpointConfig,
+        recorder: &'a dyn Recorder,
+    ) -> Result<Self, TbError> {
+        cfg.validate()?;
+        Ok(RegionSampler {
             table,
             profile,
-            threshold: 0.10,
-            unit_tb_span: DEFAULT_UNIT_TB_SPAN,
-            warming_window: WARMING_WINDOW,
-            warming_budget: None,
-            recorder: &NullRecorder,
-        }
+            recorder,
+            warmer: Warmer::new(cfg),
+            state: State::Outside,
+            resident: BTreeSet::new(),
+            abandoned: BTreeSet::new(),
+            outcome: IntraOutcome::default(),
+        })
     }
 
     /// The accounting gathered so far (read after simulation).
@@ -250,39 +276,26 @@ impl<'a> RegionSampler<'a> {
         self.outcome
     }
 
-    fn recompute_resident_region(&mut self) {
+    /// The region every resident block belongs to, if they share one.
+    fn resident_region(&self) -> Option<u32> {
         let mut iter = self.resident.iter();
-        let Some(&first) = iter.next() else {
-            self.resident_region = None;
-            return;
-        };
-        let r0 = self.table.region_of(TbId(first));
-        if r0.is_none() {
-            self.resident_region = None;
-            return;
-        }
-        for &tb in iter {
-            if self.table.region_of(TbId(tb)) != r0 {
-                self.resident_region = None;
-                return;
-            }
-        }
-        self.resident_region = r0;
+        let r0 = self.table.region_of(TbId(*iter.next()?))?;
+        iter.all(|&tb| self.table.region_of(TbId(tb)) == Some(r0))
+            .then_some(r0)
     }
 
     fn maybe_enter(&mut self, cycle: u64) {
         if self.state != State::Outside {
             return;
         }
-        self.recompute_resident_region();
-        if let Some(r) = self.resident_region {
-            if self.abandoned.contains(&r) {
-                // The region's warming budget already ran out: its blocks
-                // stay on the detailed-simulation path.
-                return;
-            }
+        // A region whose warming budget already ran out keeps its blocks
+        // on the detailed-simulation path.
+        if let Some(r) = self
+            .resident_region()
+            .filter(|r| !self.abandoned.contains(r))
+        {
             self.state = State::Warming(r);
-            self.warm_ipcs.clear();
+            self.warmer.reset();
             self.outcome.regions_entered += 1;
             self.recorder
                 .record(cycle, EventKind::RegionEntered { region: r });
@@ -291,7 +304,6 @@ impl<'a> RegionSampler<'a> {
 
     fn exit_region(&mut self, cycle: u64) {
         self.state = State::Outside;
-        self.warm_ipcs.clear();
         self.recorder.record(cycle, EventKind::RegionExited);
     }
 }
@@ -299,128 +311,53 @@ impl<'a> RegionSampler<'a> {
 impl SamplingHook for RegionSampler<'_> {
     fn on_dispatch(&mut self, tb: TbId, cycle: u64, issued: u64) -> DispatchDecision {
         let region = self.table.region_of(tb);
-
-        // Fast-forward: skip in-region blocks outright. A block missing
-        // from the profile (e.g. a truncated profile file) cannot be
-        // fast-forwarded — its instruction count is unknown — so it falls
-        // through to detailed simulation instead of indexing out of
-        // bounds.
-        if let State::FastForward { region: r, ipc } = self.state {
-            if region == Some(r) {
-                if let Some(tbp) = self.profile.tbs.get(tb.0 as usize) {
-                    let insts = tbp.warp_insts;
-                    self.outcome.skipped_tbs += 1;
-                    self.outcome.skipped_warp_insts += insts;
-                    if ipc > 0.0 {
-                        self.outcome.predicted_skipped_cycles += insts as f64 / ipc;
-                    }
-                    self.recorder.record(
-                        cycle,
-                        EventKind::BlockSkipped {
-                            tb: tb.0,
-                            warp_insts: insts,
-                        },
-                    );
+        match self.state {
+            State::FastForward { id, ipc } => {
+                // Skip in-region blocks outright. A block missing from the
+                // profile (e.g. a truncated profile file) cannot be
+                // fast-forwarded — its instruction count is unknown — so it
+                // falls through to detailed simulation instead of indexing
+                // out of bounds.
+                let known = self.profile.tbs.get(tb.0 as usize);
+                if let Some(tbp) = known.filter(|_| region == Some(id)) {
+                    self.outcome
+                        .skip(self.recorder, cycle, tb, tbp.warp_insts, ipc);
                     return DispatchDecision::Skip;
                 }
-            }
-            // A block from elsewhere (or unknown to the profile): the
-            // region exits (Fig. 7).
-            self.exit_region(cycle);
-        } else if let State::Warming(r) = self.state {
-            if region != Some(r) {
+                // A block from elsewhere (or unknown to the profile): the
+                // region exits (Fig. 7).
                 self.exit_region(cycle);
             }
+            State::Warming(r) if region != Some(r) => self.exit_region(cycle),
+            _ => {}
         }
 
         // Simulate the block.
         self.resident.insert(tb.0);
-        if self.need_designation {
-            self.designated = Some(tb.0);
-            self.need_designation = false;
-            // The unit's clock starts with its first designated TB only;
-            // later designated TBs extend the same unit.
-            if self.unit_tbs_retired == 0 {
-                self.unit_start_cycle = cycle;
-                self.unit_start_insts = issued;
-            }
-        }
+        self.warmer.on_simulate(tb, cycle, issued);
         self.maybe_enter(cycle);
         DispatchDecision::Simulate
     }
 
     fn on_retire(&mut self, tb: TbId, cycle: u64, issued: u64) {
         self.resident.remove(&tb.0);
-
-        if self.designated == Some(tb.0) {
-            // A designated TB retired; the next simulated dispatch takes
-            // over. The unit closes after `unit_tb_span` such lifetimes.
-            self.designated = None;
-            self.need_designation = true;
-            self.unit_tbs_retired += 1;
-            if self.unit_tbs_retired < self.unit_tb_span {
-                return self.maybe_enter(cycle);
-            }
-            self.unit_tbs_retired = 0;
-            // Close the sampling unit.
-            let cycles = cycle.saturating_sub(self.unit_start_cycle);
-            let insts = issued.saturating_sub(self.unit_start_insts);
-            if cycles > 0 && insts > 0 {
-                let unit_ipc = insts as f64 / cycles as f64;
-                self.outcome.units_observed += 1;
-                self.recorder
-                    .record(cycle, EventKind::UnitClosed { ipc: unit_ipc });
-                if let State::Warming(r) = self.state {
-                    self.warm_ipcs.push(unit_ipc);
-                    // The paper declares the caches stable when the
-                    // current and previous units agree within the
-                    // threshold. Our scaled substrate drifts monotonically
-                    // in sub-threshold steps during its (relatively much
-                    // longer) queue warm-up, so we additionally require
-                    // the unit BEFORE the pair to agree — i.e. the last
-                    // `WARMING_WINDOW` units must be pairwise within the
-                    // band, which rejects a sustained trend.
-                    let n = self.warm_ipcs.len();
-                    let mut converged = false;
-                    if n >= self.warming_window {
-                        let window = &self.warm_ipcs[n - self.warming_window..];
-                        let lo = window.iter().cloned().fold(f64::INFINITY, f64::min);
-                        let hi = window.iter().cloned().fold(0.0f64, f64::max);
-                        if lo > 0.0 && (hi - lo) / lo < self.warming_threshold {
-                            // Stable: fast-forward, predicting with the
-                            // last warm unit's IPC.
-                            converged = true;
-                            self.state = State::FastForward {
-                                region: r,
-                                ipc: unit_ipc,
-                            };
-                            self.recorder.record(
-                                cycle,
-                                EventKind::FastForwardStarted {
-                                    region: r,
-                                    ipc: unit_ipc,
-                                },
-                            );
-                        }
+        if let Some(ipc) = self.warmer.on_retire(tb, cycle, issued) {
+            self.outcome.units_observed += 1;
+            self.recorder.record(cycle, EventKind::UnitClosed { ipc });
+            if let State::Warming(r) = self.state {
+                match self.warmer.warm(ipc) {
+                    Warmth::Pending => {}
+                    Warmth::Stable => {
+                        // Fast-forward, predicting with the last warm
+                        // unit's IPC.
+                        self.state = State::FastForward { id: r, ipc };
+                        self.recorder
+                            .record(cycle, EventKind::FastForwardStarted { region: r, ipc });
                     }
-                    // Warming budget: a region still not converged after
-                    // `warming_budget` units is abandoned — its IPC is not
-                    // trustworthy, so its blocks keep simulating in detail
-                    // (graceful degradation) instead of fast-forwarding.
-                    if !converged {
-                        if let Some(budget) = self.warming_budget {
-                            if n >= budget as usize {
-                                self.abandoned.insert(r);
-                                self.outcome.degraded_regions += 1;
-                                self.recorder.record(
-                                    cycle,
-                                    EventKind::DegradedMode {
-                                        reason: DegradeReason::WarmingBudgetExceeded { region: r },
-                                    },
-                                );
-                                self.exit_region(cycle);
-                            }
-                        }
+                    Warmth::Exhausted => {
+                        self.abandoned.insert(r);
+                        self.outcome.abandon(self.recorder, cycle, r);
+                        self.exit_region(cycle);
                     }
                 }
             }
@@ -435,7 +372,7 @@ mod tests {
     use crate::intra::{build_epochs, identify_regions, IntraConfig};
     use tbpoint_emu::profile_launch;
     use tbpoint_ir::{AddrPattern, Kernel, KernelBuilder, LaunchId, LaunchSpec, Op, TripCount};
-    use tbpoint_obs::CollectingRecorder;
+    use tbpoint_obs::{CollectingRecorder, NullRecorder};
     use tbpoint_sim::{simulate_launch, GpuConfig, NullSampling};
 
     /// A perfectly homogeneous kernel: every TB identical.
@@ -451,6 +388,11 @@ mod tests {
         ]);
         let n = b.loop_(TripCount::Const(30), body);
         b.finish(n)
+    }
+
+    /// A sampler with the paper's defaults and no recorder.
+    fn paper_sampler<'a>(table: &'a RegionTable, profile: &'a LaunchProfile) -> RegionSampler<'a> {
+        RegionSampler::new(table, profile, &TbpointConfig::default(), &NullRecorder).unwrap()
     }
 
     fn spec(n: u32) -> LaunchSpec {
@@ -472,7 +414,7 @@ mod tests {
         let table = identify_regions(&epochs, &IntraConfig::default());
         assert_eq!(table.regions.len(), 1, "homogeneous kernel -> one region");
 
-        let mut sampler = RegionSampler::new(&table, &profile);
+        let mut sampler = paper_sampler(&table, &profile);
         let r = simulate_launch(&k, &sp, &cfg, &mut sampler, None);
         let out = sampler.outcome();
         assert!(out.skipped_tbs > 0, "fast-forward must engage: {out:?}");
@@ -495,7 +437,7 @@ mod tests {
         let table = identify_regions(&epochs, &IntraConfig::default());
 
         let full = simulate_launch(&k, &sp, &cfg, &mut NullSampling, None);
-        let mut sampler = RegionSampler::new(&table, &profile);
+        let mut sampler = paper_sampler(&table, &profile);
         let sampled = simulate_launch(&k, &sp, &cfg, &mut sampler, None);
         let out = sampler.outcome();
 
@@ -520,56 +462,11 @@ mod tests {
         let sp = spec(300);
         let profile = profile_launch(&k, &sp, 2);
         let table = RegionTable::default();
-        let mut sampler = RegionSampler::new(&table, &profile);
+        let mut sampler = paper_sampler(&table, &profile);
         let r = simulate_launch(&k, &sp, &cfg, &mut sampler, None);
         assert_eq!(r.skipped_tbs, 0);
         assert_eq!(sampler.outcome().skipped_tbs, 0);
         assert_eq!(sampler.outcome().regions_entered, 0);
-    }
-
-    #[test]
-    fn builder_rejects_nonsense_settings() {
-        let k = homogeneous_kernel();
-        let sp = spec(10);
-        let profile = profile_launch(&k, &sp, 1);
-        let table = RegionTable::default();
-
-        let err = RegionSampler::builder(&table, &profile)
-            .threshold(f64::NAN)
-            .build()
-            .err()
-            .expect("must be rejected");
-        assert!(matches!(
-            err,
-            TbError::InvalidConfig {
-                field: "warming_threshold",
-                ..
-            }
-        ));
-        let err = RegionSampler::builder(&table, &profile)
-            .unit_tb_span(0)
-            .build()
-            .err()
-            .expect("must be rejected");
-        assert!(matches!(
-            err,
-            TbError::InvalidConfig {
-                field: "unit_tb_span",
-                ..
-            }
-        ));
-        let err = RegionSampler::builder(&table, &profile)
-            .warming_window(1)
-            .build()
-            .err()
-            .expect("must be rejected");
-        assert!(matches!(
-            err,
-            TbError::InvalidConfig {
-                field: "warming_window",
-                ..
-            }
-        ));
     }
 
     #[test]
@@ -581,10 +478,8 @@ mod tests {
         let epochs = build_epochs(&profile, cfg.system_occupancy(&k));
         let table = identify_regions(&epochs, &IntraConfig::default());
         let rec = CollectingRecorder::new();
-        let mut sampler = RegionSampler::builder(&table, &profile)
-            .recorder(&rec)
-            .build()
-            .unwrap();
+        let mut sampler =
+            RegionSampler::new(&table, &profile, &TbpointConfig::default(), &rec).unwrap();
         simulate_launch(&k, &sp, &cfg, &mut sampler, None);
         let out = sampler.outcome();
         let events = rec.events();
@@ -631,15 +526,15 @@ mod tests {
         let epochs = build_epochs(&profile, cfg.system_occupancy(&k));
         let table = identify_regions(&epochs, &IntraConfig::default());
 
-        let mut loose = RegionSampler::builder(&table, &profile)
-            .threshold(0.5)
-            .build()
-            .unwrap();
+        let with_threshold = |warming_threshold| TbpointConfig {
+            warming_threshold,
+            ..Default::default()
+        };
+        let mut loose =
+            RegionSampler::new(&table, &profile, &with_threshold(0.5), &NullRecorder).unwrap();
         simulate_launch(&k, &sp, &cfg, &mut loose, None);
-        let mut tight = RegionSampler::builder(&table, &profile)
-            .threshold(1e-6)
-            .build()
-            .unwrap();
+        let mut tight =
+            RegionSampler::new(&table, &profile, &with_threshold(1e-6), &NullRecorder).unwrap();
         simulate_launch(&k, &sp, &cfg, &mut tight, None);
         assert!(
             tight.outcome().skipped_tbs <= loose.outcome().skipped_tbs,

@@ -18,9 +18,10 @@
 //!   centre is within a relative `sigma` band, otherwise it founds a new
 //!   cluster (`LiveEpochDetected` event either way).
 //! * **Warming** starts after `min_run` consecutive epochs land in the
-//!   same (non-abandoned) cluster, and reuses the designated-TB
-//!   sampling-unit machinery of [`crate::sampling::RegionSampler`]: once
-//!   the trailing `warming_window` unit IPCs agree pairwise within the
+//!   same (non-abandoned) cluster. It is driven by the same private
+//!   warming engine (`Warmer`, in the parent [`crate::sampling`] module)
+//!   as the two-phase [`crate::sampling::RegionSampler`]: once the
+//!   trailing `warming_window` unit IPCs agree pairwise within the
 //!   warming threshold, fast-forwarding begins (`LiveFastForward`).
 //! * **Fast-forwarding** skips dispatched blocks, predicting their
 //!   cycles as `estimated insts / unit IPC`. Every `guard_period`-th
@@ -39,53 +40,37 @@
 //! [`tbpoint_emu::TraceDeps::block_invariant`]), otherwise the running
 //! mean instruction count of the cluster's simulated blocks.
 
+use super::{IntraOutcome, State, Warmer, Warmth};
 use crate::error::{invalid, TbError};
+use crate::predict::TbpointConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use tbpoint_emu::TbStats;
 use tbpoint_ir::TbId;
-use tbpoint_obs::{DegradeReason, EventKind, NullRecorder, Recorder};
+use tbpoint_obs::{EventKind, Recorder};
 use tbpoint_sim::{DispatchDecision, SamplingHook};
 
 /// Relative-band floor: clusters whose centre is (near) zero still accept
 /// exactly-zero epochs without the band collapsing to nothing.
 const EPS: f64 = 1e-9;
 
-/// Accounting produced by one live-sampled launch (the single-pass
-/// analogue of [`crate::sampling::IntraOutcome`]).
+/// Accounting produced by one live-sampled launch: the counters shared
+/// with the two-phase sampler plus the live-only ones.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct LiveOutcome {
-    /// Thread blocks skipped during fast-forward periods.
-    pub skipped_tbs: u32,
-    /// *Estimated* warp instructions belonging to skipped blocks (exact
-    /// for block-invariant kernels, cluster running mean otherwise).
-    pub skipped_warp_insts: u64,
-    /// Predicted cycles those instructions would have taken, from the
-    /// last warm sampling unit's IPC.
-    pub predicted_skipped_cycles: f64,
-    /// Sampling units completed (diagnostic).
-    pub units_observed: u32,
+    /// Skips, sampling units, warming phases entered and abandoned
+    /// clusters, counted exactly as in two-phase mode (skipped
+    /// instructions are estimates; see the module docs).
+    pub intra: IntraOutcome,
     /// Epochs completed and classified (diagnostic).
     pub epochs_classified: u32,
     /// Distinct clusters discovered online (diagnostic).
     pub clusters_discovered: u32,
-    /// Warming phases entered (the live analogue of regions entered).
-    pub regions_entered: u32,
     /// Guard blocks simulated during fast-forward periods.
     pub guard_tbs: u32,
     /// Fast-forward periods cut short because a guard block (or a fresh
     /// epoch) no longer matched the cluster.
     pub destabilisations: u32,
-    /// Clusters abandoned because their IPC failed to stabilise within
-    /// the warming budget (each abandonment is a `DegradedMode` event).
-    pub degraded_regions: u32,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum State {
-    Outside,
-    Warming(u32),
-    FastForward { cluster: u32, ipc: f64 },
 }
 
 /// Running statistics of one online cluster.
@@ -119,21 +104,16 @@ struct EpochAcc {
 /// The live sampling hook. Plug into [`tbpoint_sim::simulate_launch`];
 /// needs no profile and no region table — only the launch's block count
 /// and the GPU's system occupancy.
-///
-/// Construct with [`LiveSampler::builder`].
 pub struct LiveSampler<'a> {
     occupancy: u32,
     num_blocks: u32,
     block_invariant: bool,
     sigma: f64,
-    warming_threshold: f64,
-    unit_tb_span: u32,
-    warming_window: usize,
-    warming_budget: Option<u32>,
     min_run: u32,
     guard_period: u32,
     destab_tolerance: f64,
     recorder: &'a dyn Recorder,
+    warmer: Warmer,
 
     state: State,
     epochs: Vec<EpochAcc>,
@@ -147,190 +127,48 @@ pub struct LiveSampler<'a> {
     exact_insts: Option<u64>,
     global_sum_insts: u64,
     global_sim_tbs: u64,
-    designated: Option<u32>,
-    need_designation: bool,
-    unit_tbs_retired: u32,
-    unit_start_cycle: u64,
-    unit_start_insts: u64,
-    warm_ipcs: Vec<f64>,
     outcome: LiveOutcome,
 }
 
-/// Builder for [`LiveSampler`]. Settings left untouched keep the paper's
-/// two-phase defaults plus the live-mode defaults of
-/// [`crate::predict::TbpointConfig`]; [`LiveSamplerBuilder::build`]
-/// validates and reports nonsense values as [`TbError::InvalidConfig`].
-pub struct LiveSamplerBuilder<'a> {
-    occupancy: u32,
-    num_blocks: u32,
-    block_invariant: bool,
-    sigma: f64,
-    threshold: f64,
-    unit_tb_span: u32,
-    warming_window: usize,
-    warming_budget: Option<u32>,
-    min_run: u32,
-    guard_period: u32,
-    destab_tolerance: f64,
-    recorder: &'a dyn Recorder,
-}
-
-impl<'a> LiveSamplerBuilder<'a> {
-    /// The kernel's traces are identical for every thread block (from
-    /// [`tbpoint_emu::TraceDeps::block_invariant`]): skipped-block
+impl<'a> LiveSampler<'a> {
+    /// A live sampler for a launch of `num_blocks` thread blocks on a GPU
+    /// with `occupancy` concurrently resident blocks (from
+    /// [`tbpoint_sim::GpuConfig::system_occupancy`]). `block_invariant`
+    /// says the kernel's traces are identical for every thread block
+    /// (from [`tbpoint_emu::TraceDeps::block_invariant`]): skipped-block
     /// instruction counts are then *exact*, taken from the first retired
-    /// block. Otherwise they are the cluster's running mean.
-    pub fn block_invariant(mut self, invariant: bool) -> Self {
-        self.block_invariant = invariant;
-        self
-    }
-
-    /// Relative band of the online leader clustering (reuses the offline
-    /// `intra.sigma`, default 0.2). Must be finite and positive.
-    pub fn sigma(mut self, sigma: f64) -> Self {
-        self.sigma = sigma;
-        self
-    }
-
-    /// Warming convergence threshold (paper: 0.10). Must be finite and
-    /// positive.
-    pub fn threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
-    /// Designated-TB lifetimes per sampling unit (see
-    /// [`crate::sampling::DEFAULT_UNIT_TB_SPAN`]). Must be at least 1.
-    pub fn unit_tb_span(mut self, span: u32) -> Self {
-        self.unit_tb_span = span;
-        self
-    }
-
-    /// Trailing units that must agree pairwise before fast-forwarding
-    /// (see [`crate::sampling::WARMING_WINDOW`]). Must be at least 2.
-    pub fn warming_window(mut self, window: usize) -> Self {
-        self.warming_window = window;
-        self
-    }
-
-    /// Bound the warming phase: a cluster whose per-unit IPC has not
-    /// converged after this many closed units is *abandoned* (a
-    /// `DegradedMode` event; its blocks simulate in detail). `None`
-    /// warms indefinitely.
-    pub fn warming_budget(mut self, budget: Option<u32>) -> Self {
-        self.warming_budget = budget;
-        self
-    }
-
-    /// Consecutive same-cluster epochs required before warming starts.
-    /// Must be at least 1.
-    pub fn min_run(mut self, min_run: u32) -> Self {
-        self.min_run = min_run;
-        self
-    }
-
-    /// During fast-forward, every `period`-th dispatched block is
-    /// simulated as a guard instead of skipped. Must be at least 1 (1
-    /// means every block is a guard — i.e. no skipping at all).
-    pub fn guard_period(mut self, period: u32) -> Self {
-        self.guard_period = period;
-        self
-    }
-
-    /// Relative deviation of a guard block's stall probability from the
-    /// cluster centre that destabilises the fast-forward. Must be finite
-    /// and positive.
-    pub fn destab_tolerance(mut self, tolerance: f64) -> Self {
-        self.destab_tolerance = tolerance;
-        self
-    }
-
-    /// Attach a [`Recorder`]; every epoch classification, state
-    /// transition and skipped block is reported to it. The default is
-    /// the free [`NullRecorder`].
-    pub fn recorder(mut self, recorder: &'a dyn Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Validate the settings and build the sampler.
+    /// block, and otherwise the cluster's running mean. The clustering
+    /// band is `cfg.intra.sigma`; warming and the `live_*` knobs come
+    /// from `cfg` too. Every epoch classification, state transition and
+    /// skipped block is reported to `recorder`.
     ///
     /// # Errors
     ///
-    /// [`TbError::InvalidConfig`] naming the offending field when the
-    /// occupancy is zero, a band/threshold is non-finite or non-positive,
-    /// `unit_tb_span`, `live_min_run` or `live_guard_period` is zero, or
-    /// `warming_window` is below 2.
-    pub fn build(self) -> Result<LiveSampler<'a>, TbError> {
-        if self.occupancy == 0 {
+    /// [`TbError::InvalidConfig`] naming `occupancy` when it is zero, or
+    /// the field [`TbpointConfig::validate`] rejects in `cfg`.
+    pub fn new(
+        num_blocks: u32,
+        occupancy: u32,
+        block_invariant: bool,
+        cfg: &TbpointConfig,
+        recorder: &'a dyn Recorder,
+    ) -> Result<Self, TbError> {
+        if occupancy == 0 {
             return Err(invalid("occupancy", "must be at least 1 (got 0)"));
         }
-        if !self.sigma.is_finite() || self.sigma <= 0.0 {
-            return Err(invalid(
-                "intra.sigma",
-                format!("must be finite and positive (got {})", self.sigma),
-            ));
-        }
-        if !self.threshold.is_finite() || self.threshold <= 0.0 {
-            return Err(invalid(
-                "warming_threshold",
-                format!("must be finite and positive (got {})", self.threshold),
-            ));
-        }
-        if self.unit_tb_span == 0 {
-            return Err(invalid("unit_tb_span", "must be at least 1 (got 0)"));
-        }
-        if self.warming_window < 2 {
-            return Err(invalid(
-                "warming_window",
-                format!(
-                    "needs at least 2 units to compare (got {})",
-                    self.warming_window
-                ),
-            ));
-        }
-        if let Some(budget) = self.warming_budget {
-            if (budget as usize) < self.warming_window {
-                return Err(invalid(
-                    "warming_budget",
-                    format!(
-                        "must allow at least warming_window = {} units (got {budget})",
-                        self.warming_window
-                    ),
-                ));
-            }
-        }
-        if self.min_run == 0 {
-            return Err(invalid("live_min_run", "must be at least 1 (got 0)"));
-        }
-        if self.guard_period == 0 {
-            return Err(invalid("live_guard_period", "must be at least 1 (got 0)"));
-        }
-        if !self.destab_tolerance.is_finite() || self.destab_tolerance <= 0.0 {
-            return Err(invalid(
-                "live_destab_tolerance",
-                format!(
-                    "must be finite and positive (got {})",
-                    self.destab_tolerance
-                ),
-            ));
-        }
-        let n_epochs = self.num_blocks.div_ceil(self.occupancy);
+        cfg.validate()?;
         Ok(LiveSampler {
-            occupancy: self.occupancy,
-            num_blocks: self.num_blocks,
-            block_invariant: self.block_invariant,
-            sigma: self.sigma,
-            warming_threshold: self.threshold,
-            unit_tb_span: self.unit_tb_span,
-            warming_window: self.warming_window,
-            warming_budget: self.warming_budget,
-            min_run: self.min_run,
-            guard_period: self.guard_period,
-            destab_tolerance: self.destab_tolerance,
-            recorder: self.recorder,
+            occupancy,
+            num_blocks,
+            block_invariant,
+            sigma: cfg.intra.sigma,
+            min_run: cfg.live_min_run,
+            guard_period: cfg.live_guard_period,
+            destab_tolerance: cfg.live_destab_tolerance,
+            recorder,
+            warmer: Warmer::new(cfg),
             state: State::Outside,
-            epochs: vec![EpochAcc::default(); n_epochs as usize],
+            epochs: vec![EpochAcc::default(); num_blocks.div_ceil(occupancy) as usize],
             next_epoch: 0,
             clusters: Vec::new(),
             last_cluster: None,
@@ -341,36 +179,8 @@ impl<'a> LiveSamplerBuilder<'a> {
             exact_insts: None,
             global_sum_insts: 0,
             global_sim_tbs: 0,
-            designated: None,
-            need_designation: true,
-            unit_tbs_retired: 0,
-            unit_start_cycle: 0,
-            unit_start_insts: 0,
-            warm_ipcs: Vec::new(),
             outcome: LiveOutcome::default(),
         })
-    }
-}
-
-impl<'a> LiveSampler<'a> {
-    /// Start building a live sampler for a launch of `num_blocks` thread
-    /// blocks on a GPU with `occupancy` concurrently resident blocks
-    /// (from [`tbpoint_sim::GpuConfig::system_occupancy`]).
-    pub fn builder(num_blocks: u32, occupancy: u32) -> LiveSamplerBuilder<'a> {
-        LiveSamplerBuilder {
-            occupancy,
-            num_blocks,
-            block_invariant: false,
-            sigma: 0.2,
-            threshold: 0.10,
-            unit_tb_span: crate::sampling::DEFAULT_UNIT_TB_SPAN,
-            warming_window: crate::sampling::WARMING_WINDOW,
-            warming_budget: None,
-            min_run: 2,
-            guard_period: 8,
-            destab_tolerance: 0.5,
-            recorder: &NullRecorder,
-        }
     }
 
     /// The accounting gathered so far (read after simulation).
@@ -421,13 +231,11 @@ impl<'a> LiveSampler<'a> {
 
     fn exit_region(&mut self, cycle: u64) {
         self.state = State::Outside;
-        self.warm_ipcs.clear();
         self.recorder.record(cycle, EventKind::RegionExited);
     }
 
     fn destabilise(&mut self, cycle: u64, cluster: u32) {
         self.state = State::Outside;
-        self.warm_ipcs.clear();
         self.run_cluster = None;
         self.run_len = 0;
         self.outcome.destabilisations += 1;
@@ -473,8 +281,8 @@ impl<'a> LiveSampler<'a> {
             State::Outside => {
                 if self.run_len >= self.min_run && !self.clusters[cluster as usize].abandoned {
                     self.state = State::Warming(cluster);
-                    self.warm_ipcs.clear();
-                    self.outcome.regions_entered += 1;
+                    self.warmer.reset();
+                    self.outcome.intra.regions_entered += 1;
                     self.recorder
                         .record(cycle, EventKind::RegionEntered { region: cluster });
                 }
@@ -484,7 +292,7 @@ impl<'a> LiveSampler<'a> {
                     self.exit_region(cycle);
                 }
             }
-            State::FastForward { cluster: c, .. } => {
+            State::FastForward { id: c, .. } => {
                 // An epoch with real measurements landing in a different
                 // cluster is as good a destabilisation signal as a stray
                 // guard block.
@@ -523,7 +331,7 @@ impl<'a> LiveSampler<'a> {
 
 impl SamplingHook for LiveSampler<'_> {
     fn on_dispatch(&mut self, tb: TbId, cycle: u64, issued: u64) -> DispatchDecision {
-        if let State::FastForward { cluster, ipc } = self.state {
+        if let State::FastForward { id: cluster, ipc } = self.state {
             let guard = self
                 .ff_dispatch_idx
                 .is_multiple_of(u64::from(self.guard_period));
@@ -534,32 +342,12 @@ impl SamplingHook for LiveSampler<'_> {
                 // Fall through: simulated like any other block.
             } else {
                 let est = self.estimate_insts(cluster);
-                self.outcome.skipped_tbs += 1;
-                self.outcome.skipped_warp_insts += est;
-                if ipc > 0.0 {
-                    self.outcome.predicted_skipped_cycles += est as f64 / ipc;
-                }
-                self.recorder.record(
-                    cycle,
-                    EventKind::BlockSkipped {
-                        tb: tb.0,
-                        warp_insts: est,
-                    },
-                );
+                self.outcome.intra.skip(self.recorder, cycle, tb, est, ipc);
                 self.epoch_done(tb, cycle, None);
                 return DispatchDecision::Skip;
             }
         }
-        if self.need_designation {
-            self.designated = Some(tb.0);
-            self.need_designation = false;
-            // The unit's clock starts with its first designated TB only;
-            // later designated TBs extend the same unit.
-            if self.unit_tbs_retired == 0 {
-                self.unit_start_cycle = cycle;
-                self.unit_start_insts = issued;
-            }
-        }
+        self.warmer.on_simulate(tb, cycle, issued);
         DispatchDecision::Simulate
     }
 
@@ -571,7 +359,7 @@ impl SamplingHook for LiveSampler<'_> {
 
     fn on_retire_stats(&mut self, tb: TbId, cycle: u64, issued: u64, stats: TbStats) {
         if self.guards.remove(&tb.0) {
-            if let State::FastForward { cluster, .. } = self.state {
+            if let State::FastForward { id: cluster, .. } = self.state {
                 let center = self.clusters[cluster as usize].center;
                 let p = stats.stall_probability();
                 if (p - center).abs() > self.destab_tolerance * center.max(EPS) {
@@ -580,66 +368,22 @@ impl SamplingHook for LiveSampler<'_> {
             }
         }
 
-        if self.designated == Some(tb.0) {
-            // A designated TB retired; the next simulated dispatch takes
-            // over. The unit closes after `unit_tb_span` such lifetimes.
-            self.designated = None;
-            self.need_designation = true;
-            self.unit_tbs_retired += 1;
-            if self.unit_tbs_retired >= self.unit_tb_span {
-                self.unit_tbs_retired = 0;
-                let cycles = cycle.saturating_sub(self.unit_start_cycle);
-                let insts = issued.saturating_sub(self.unit_start_insts);
-                if cycles > 0 && insts > 0 {
-                    let unit_ipc = insts as f64 / cycles as f64;
-                    self.outcome.units_observed += 1;
-                    self.recorder
-                        .record(cycle, EventKind::UnitClosed { ipc: unit_ipc });
-                    if let State::Warming(c) = self.state {
-                        self.warm_ipcs.push(unit_ipc);
-                        // Same trailing-window convergence criterion as
-                        // the two-phase RegionSampler: the last
-                        // `warming_window` unit IPCs must agree pairwise
-                        // within the band.
-                        let n = self.warm_ipcs.len();
-                        let mut converged = false;
-                        if n >= self.warming_window {
-                            let window = &self.warm_ipcs[n - self.warming_window..];
-                            let lo = window.iter().cloned().fold(f64::INFINITY, f64::min);
-                            let hi = window.iter().cloned().fold(0.0f64, f64::max);
-                            if lo > 0.0 && (hi - lo) / lo < self.warming_threshold {
-                                converged = true;
-                                self.state = State::FastForward {
-                                    cluster: c,
-                                    ipc: unit_ipc,
-                                };
-                                self.ff_dispatch_idx = 0;
-                                self.recorder.record(
-                                    cycle,
-                                    EventKind::LiveFastForward {
-                                        cluster: c,
-                                        ipc: unit_ipc,
-                                    },
-                                );
-                            }
-                        }
-                        if !converged {
-                            if let Some(budget) = self.warming_budget {
-                                if n >= budget as usize {
-                                    self.clusters[c as usize].abandoned = true;
-                                    self.outcome.degraded_regions += 1;
-                                    self.recorder.record(
-                                        cycle,
-                                        EventKind::DegradedMode {
-                                            reason: DegradeReason::WarmingBudgetExceeded {
-                                                region: c,
-                                            },
-                                        },
-                                    );
-                                    self.exit_region(cycle);
-                                }
-                            }
-                        }
+        if let Some(ipc) = self.warmer.on_retire(tb, cycle, issued) {
+            self.outcome.intra.units_observed += 1;
+            self.recorder.record(cycle, EventKind::UnitClosed { ipc });
+            if let State::Warming(c) = self.state {
+                match self.warmer.warm(ipc) {
+                    Warmth::Pending => {}
+                    Warmth::Stable => {
+                        self.state = State::FastForward { id: c, ipc };
+                        self.ff_dispatch_idx = 0;
+                        self.recorder
+                            .record(cycle, EventKind::LiveFastForward { cluster: c, ipc });
+                    }
+                    Warmth::Exhausted => {
+                        self.clusters[c as usize].abandoned = true;
+                        self.outcome.intra.abandon(self.recorder, cycle, c);
+                        self.exit_region(cycle);
                     }
                 }
             }
@@ -654,7 +398,7 @@ mod tests {
     use super::*;
     use tbpoint_emu::{profile_launch, TraceDeps};
     use tbpoint_ir::{AddrPattern, Kernel, KernelBuilder, LaunchId, LaunchSpec, Op, TripCount};
-    use tbpoint_obs::CollectingRecorder;
+    use tbpoint_obs::{CollectingRecorder, NullRecorder};
     use tbpoint_sim::{simulate_launch, GpuConfig, NullSampling};
 
     fn homogeneous_kernel() -> Kernel {
@@ -679,11 +423,15 @@ mod tests {
         }
     }
 
-    fn live_sampler_for<'a>(k: &Kernel, gpu: &GpuConfig, n: u32) -> LiveSampler<'a> {
-        LiveSampler::builder(n, gpu.system_occupancy(k))
-            .block_invariant(TraceDeps::of(k).block_invariant())
-            .build()
-            .unwrap()
+    fn live_sampler_for<'a>(
+        k: &Kernel,
+        gpu: &GpuConfig,
+        n: u32,
+        cfg: &TbpointConfig,
+        rec: &'a dyn Recorder,
+    ) -> LiveSampler<'a> {
+        let invariant = TraceDeps::of(k).block_invariant();
+        LiveSampler::new(n, gpu.system_occupancy(k), invariant, cfg, rec).unwrap()
     }
 
     #[test]
@@ -691,18 +439,22 @@ mod tests {
         let k = homogeneous_kernel();
         let gpu = GpuConfig::fermi();
         let sp = spec(3000);
-        let mut sampler = live_sampler_for(&k, &gpu, 3000);
+        let mut sampler =
+            live_sampler_for(&k, &gpu, 3000, &TbpointConfig::default(), &NullRecorder);
         let r = simulate_launch(&k, &sp, &gpu, &mut sampler, None);
         let out = sampler.outcome();
-        assert!(out.skipped_tbs > 0, "fast-forward must engage: {out:?}");
-        assert_eq!(r.skipped_tbs, out.skipped_tbs);
+        assert!(
+            out.intra.skipped_tbs > 0,
+            "fast-forward must engage: {out:?}"
+        );
+        assert_eq!(r.skipped_tbs, out.intra.skipped_tbs);
         assert!(out.epochs_classified > 0);
         assert_eq!(out.clusters_discovered, 1, "homogeneous -> one cluster");
         assert_eq!(out.destabilisations, 0);
         // Block-invariant kernel: skipped-inst accounting is exact.
         let profile = profile_launch(&k, &sp, 1);
         let total: u64 = profile.tbs.iter().map(|t| t.warp_insts).sum();
-        assert_eq!(out.skipped_warp_insts + r.issued_warp_insts, total);
+        assert_eq!(out.intra.skipped_warp_insts + r.issued_warp_insts, total);
     }
 
     #[test]
@@ -711,9 +463,10 @@ mod tests {
         let gpu = GpuConfig::fermi();
         let sp = spec(3000);
         let full = simulate_launch(&k, &sp, &gpu, &mut NullSampling, None);
-        let mut sampler = live_sampler_for(&k, &gpu, 3000);
+        let mut sampler =
+            live_sampler_for(&k, &gpu, 3000, &TbpointConfig::default(), &NullRecorder);
         let sampled = simulate_launch(&k, &sp, &gpu, &mut sampler, None);
-        let out = sampler.outcome();
+        let out = sampler.outcome().intra;
 
         let full_ipc = full.ipc();
         let predicted_cycles = sampled.cycles as f64 + out.predicted_skipped_cycles;
@@ -733,15 +486,18 @@ mod tests {
         let k = homogeneous_kernel();
         let gpu = GpuConfig::fermi();
         let sp = spec(3000);
-        let mut sampler = LiveSampler::builder(3000, gpu.system_occupancy(&k))
-            .block_invariant(TraceDeps::of(&k).block_invariant())
-            .guard_period(4)
-            .build()
-            .unwrap();
+        let cfg = TbpointConfig {
+            live_guard_period: 4,
+            ..Default::default()
+        };
+        let mut sampler = live_sampler_for(&k, &gpu, 3000, &cfg, &NullRecorder);
         simulate_launch(&k, &sp, &gpu, &mut sampler, None);
         let out = sampler.outcome();
         assert!(out.guard_tbs > 0, "guards must run: {out:?}");
-        assert!(out.skipped_tbs > out.guard_tbs, "guards stay the minority");
+        assert!(
+            out.intra.skipped_tbs > out.guard_tbs,
+            "guards stay the minority"
+        );
         // Guards of a homogeneous kernel never destabilise.
         assert_eq!(out.destabilisations, 0);
     }
@@ -752,11 +508,7 @@ mod tests {
         let gpu = GpuConfig::fermi();
         let sp = spec(3000);
         let rec = CollectingRecorder::new();
-        let mut sampler = LiveSampler::builder(3000, gpu.system_occupancy(&k))
-            .block_invariant(TraceDeps::of(&k).block_invariant())
-            .recorder(&rec)
-            .build()
-            .unwrap();
+        let mut sampler = live_sampler_for(&k, &gpu, 3000, &TbpointConfig::default(), &rec);
         simulate_launch(&k, &sp, &gpu, &mut sampler, None);
         let out = sampler.outcome();
         let events = rec.events();
@@ -769,7 +521,7 @@ mod tests {
             .filter(|e| matches!(e.kind, EventKind::BlockSkipped { .. }))
             .count();
         assert_eq!(epochs as u32, out.epochs_classified);
-        assert_eq!(skips as u32, out.skipped_tbs);
+        assert_eq!(skips as u32, out.intra.skipped_tbs);
         // Epoch detection precedes warming entry precedes fast-forward.
         let i_epoch = events
             .iter()
@@ -791,59 +543,27 @@ mod tests {
         let k = homogeneous_kernel();
         let gpu = GpuConfig::fermi();
         let sp = spec(3000);
-        let mut sampler = LiveSampler::builder(3000, gpu.system_occupancy(&k))
-            .threshold(1e-300)
-            .warming_budget(Some(crate::sampling::WARMING_WINDOW as u32))
-            .build()
-            .unwrap();
+        let cfg = TbpointConfig {
+            warming_threshold: 1e-300,
+            warming_budget: Some(crate::sampling::WARMING_WINDOW as u32),
+            ..Default::default()
+        };
+        let occupancy = gpu.system_occupancy(&k);
+        let mut sampler = LiveSampler::new(3000, occupancy, false, &cfg, &NullRecorder).unwrap();
         let r = simulate_launch(&k, &sp, &gpu, &mut sampler, None);
-        let out = sampler.outcome();
+        let out = sampler.outcome().intra;
         assert!(out.degraded_regions > 0, "budget must trip: {out:?}");
         assert_eq!(out.skipped_tbs, 0, "abandoned cluster never skips");
         assert_eq!(r.skipped_tbs, 0);
     }
 
     #[test]
-    fn builder_rejects_nonsense_live_settings() {
-        for (build, field) in [
-            (LiveSampler::builder(10, 0).build().err(), "occupancy"),
-            (
-                LiveSampler::builder(10, 8).sigma(f64::NAN).build().err(),
-                "intra.sigma",
-            ),
-            (
-                LiveSampler::builder(10, 8).min_run(0).build().err(),
-                "live_min_run",
-            ),
-            (
-                LiveSampler::builder(10, 8).guard_period(0).build().err(),
-                "live_guard_period",
-            ),
-            (
-                LiveSampler::builder(10, 8)
-                    .destab_tolerance(-1.0)
-                    .build()
-                    .err(),
-                "live_destab_tolerance",
-            ),
-            (
-                LiveSampler::builder(10, 8).threshold(0.0).build().err(),
-                "warming_threshold",
-            ),
-            (
-                LiveSampler::builder(10, 8).unit_tb_span(0).build().err(),
-                "unit_tb_span",
-            ),
-            (
-                LiveSampler::builder(10, 8).warming_window(1).build().err(),
-                "warming_window",
-            ),
-        ] {
-            let err = build.expect("must be rejected");
-            match err {
-                TbError::InvalidConfig { field: f, .. } => assert_eq!(f, field),
-                other => panic!("unexpected error {other:?}"),
-            }
+    fn zero_occupancy_is_rejected() {
+        // Occupancy is the one setting outside `TbpointConfig`, so the
+        // sampler checks it itself.
+        match LiveSampler::new(10, 0, false, &TbpointConfig::default(), &NullRecorder) {
+            Err(TbError::InvalidConfig { field, .. }) => assert_eq!(field, "occupancy"),
+            other => panic!("unexpected result {:?}", other.err()),
         }
     }
 }

@@ -55,8 +55,8 @@ pub use tbpoint_core::TbError;
 /// The names most library users need, in one import.
 pub mod prelude {
     pub use crate::core::{
-        run_tbpoint, run_tbpoint_traced, IntraOutcome, LaunchTrace, RegionSampler,
-        RegionSamplerBuilder, SamplingMode, TbError, TbpointConfig, TbpointResult,
+        run_tbpoint, run_tbpoint_traced, IntraOutcome, LaunchTrace, RegionSampler, SamplingMode,
+        TbError, TbpointConfig, TbpointResult,
     };
     pub use crate::emu::{profile_launch, profile_run};
     pub use crate::obs::{
